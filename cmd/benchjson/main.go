@@ -102,48 +102,6 @@ type SamplingEntry struct {
 	Metrics    []SamplingMetric `json:"metrics"`
 }
 
-// BatchCacheEntry is one batch-stream-cache trajectory point, written
-// to BENCH_batchcache.json: the RPU timing-knob sweep (eight variants
-// per service sharing identical batch streams) timed with no caches,
-// with the scalar trace cache only (the pre-batch-cache baseline), and
-// with the batch-stream cache on top, plus a sampled run with both
-// caches. The three unsampled runs are byte-compared, so the
-// trajectory only ever records speedups of equivalent computations.
-type BatchCacheEntry struct {
-	Timestamp  string `json:"timestamp"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"`
-	Requests   int    `json:"requests"`
-	Seed       int64  `json:"seed"`
-	// Sample is the config of the sampled run (the unsampled runs
-	// record their own trajectory fields).
-	Sample string `json:"sample"`
-	// NoCacheSec runs with scalar trace caching and batch-stream
-	// caching both off.
-	NoCacheSec float64 `json:"nocache_s"`
-	// ScalarCacheSec runs with the scalar trace cache only — the
-	// baseline the batch cache is measured against.
-	ScalarCacheSec float64 `json:"scalarcache_s"`
-	// BatchCacheSec runs with both caches (the default configuration).
-	BatchCacheSec float64 `json:"batchcache_s"`
-	// SampledSec runs both caches plus sampled timing (Sample).
-	SampledSec float64 `json:"batchcache_sampled_s"`
-	// SpeedupVsScalar is ScalarCacheSec / BatchCacheSec.
-	SpeedupVsScalar float64 `json:"speedup_vs_scalarcache"`
-	// SpeedupVsNoCache is NoCacheSec / BatchCacheSec.
-	SpeedupVsNoCache float64 `json:"speedup_vs_nocache"`
-	// SpeedupSampled is NoCacheSec / SampledSec (caches + sampling
-	// stacked against the uncached full-timing baseline).
-	SpeedupSampled float64 `json:"speedup_sampled_vs_nocache"`
-	// Identical reports whether the three unsampled runs rendered
-	// byte-identical sweeps.
-	Identical bool `json:"outputs_identical"`
-	// Metrics snapshots the batch-cache run's obs registry
-	// (trace.batchcache hits/misses/bypassed/bytes_hwm and the
-	// trace.cache and prep-pipeline scopes) when -studymetrics is set.
-	Metrics obs.Snapshot `json:"metrics"`
-}
-
 // QueuesimPoint is one (mode, offered load) cell of the tail-at-scale
 // study: completion accounting, the latency tail, and the arena
 // engine's event throughput.
@@ -271,7 +229,6 @@ func main() {
 	seconds := flag.Float64("seconds", 1, "simulated seconds per syssim load point")
 	out := flag.String("out", "BENCH_pipeline.json", "bench trajectory file to append to")
 	perStudy := flag.Bool("studymetrics", true, "append per-study entries with metrics snapshots to BENCH_<study>.json")
-	cacheSample := flag.String("cachesample", "4:3", "sample config for the batch-cache study's stacked run (PERIOD[:WARMUP])")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	only := flag.String("only", "", "run a single study and skip the rest (supported: queuesim)")
@@ -412,25 +369,6 @@ func main() {
 	}
 	fmt.Println("appended to BENCH_graphs.json")
 
-	ccfg, err := sample.Parse(*cacheSample)
-	if err != nil || !ccfg.Sampling() {
-		log.Fatalf("-cachesample %q: need PERIOD[:WARMUP] with PERIOD > 1", *cacheSample)
-	}
-	be := benchBatchCache(suite, *requests, *seed, *workers, ccfg)
-	be.Timestamp = stamp
-	be.GoMaxProcs = entry.GoMaxProcs
-	fmt.Printf("%-22s nocache %7.3fs  scalar %7.3fs  batch %7.3fs  sampled %7.3fs\n",
-		"batchcache-timing", be.NoCacheSec, be.ScalarCacheSec, be.BatchCacheSec, be.SampledSec)
-	fmt.Printf("%-22s vs scalar %.2fx  vs nocache %.2fx  sampled vs nocache %.2fx  identical=%v\n",
-		"", be.SpeedupVsScalar, be.SpeedupVsNoCache, be.SpeedupSampled, be.Identical)
-	if !be.Identical {
-		log.Fatal("batchcache-timing: outputs differ across cache configurations")
-	}
-	if err := appendJSON("BENCH_batchcache.json", be); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("appended to BENCH_batchcache.json")
-
 	se := benchSampling(suite, *requests, *seed, *workers, scfg)
 	se.Timestamp = stamp
 	se.GoMaxProcs = entry.GoMaxProcs
@@ -490,11 +428,11 @@ func benchDist(ctx context.Context, suite *uservices.Suite, requests int, seed i
 	}
 
 	t0 := time.Now()
-	chip, err := core.ChipStudyParallel(suite, requests, seed, false, 1)
+	chip, err := core.ChipStudy(suite.Services, requests, seed, false, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sens, err := core.SensPairsOn(suite.Services, requests, seed, 1)
+	sens, err := core.SensitivityStudy(suite.Services, requests, seed, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -546,7 +484,7 @@ func benchDist(ctx context.Context, suite *uservices.Suite, requests int, seed i
 // realised error.
 func benchSampling(suite *uservices.Suite, requests int, seed int64, workers int, scfg sample.Config) SamplingEntry {
 	run := func() []core.ChipRow {
-		rows, err := core.ChipStudyParallel(suite, requests, seed, false, workers)
+		rows, err := core.ChipStudy(suite.Services, requests, seed, false, workers)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -633,71 +571,6 @@ func benchSampling(suite *uservices.Suite, requests int, seed int64, workers int
 	return entry
 }
 
-// benchBatchCache times the RPU timing-knob sweep — the workload the
-// batch-stream cache targets: eight timing variants per service whose
-// preparation (trace fetch, lock-step merge, uop build) is identical —
-// under three cache configurations plus a sampled run, byte-comparing
-// the unsampled outputs. Lookahead is pinned so all runs prep-pipeline
-// identically and only the caching varies.
-func benchBatchCache(suite *uservices.Suite, requests int, seed int64, workers int, scfg sample.Config) BatchCacheEntry {
-	run := func() (float64, []byte) {
-		t0 := time.Now()
-		rows, err := core.TimingSweepParallel(suite, requests, seed, workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sec := time.Since(t0).Seconds()
-		var buf bytes.Buffer
-		core.WriteTimingSweep(&buf, rows)
-		return sec, buf.Bytes()
-	}
-	core.SetPrepLookahead(2)
-	defer core.SetPrepLookahead(-1)
-
-	core.SetTraceCaching(false)
-	core.SetBatchCaching(false)
-	noSec, noOut := run()
-
-	core.SetTraceCaching(true)
-	scalarSec, scalarOut := run()
-
-	var reg *obs.Registry
-	if studyMetrics {
-		reg = obs.NewRegistry()
-		obs.Enable(reg, nil)
-	}
-	core.SetBatchCaching(true)
-	batchSec, batchOut := run()
-	entry := BatchCacheEntry{
-		Workers:          workers,
-		Requests:         requests,
-		Seed:             seed,
-		NoCacheSec:       noSec,
-		ScalarCacheSec:   scalarSec,
-		BatchCacheSec:    batchSec,
-		SpeedupVsScalar:  scalarSec / batchSec,
-		SpeedupVsNoCache: noSec / batchSec,
-		Identical:        bytes.Equal(noOut, scalarOut) && bytes.Equal(scalarOut, batchOut),
-	}
-	if reg != nil {
-		entry.Metrics = reg.Snapshot()
-		obs.Disable()
-	}
-
-	// Sampled timing stacks multiplicatively on the cache: warm units
-	// replay cached streams through the functional path and skipped
-	// units cost nothing, so the combination is the repo's fastest
-	// full-sweep configuration. Its output legitimately differs (it is
-	// an estimate), so it is timed but not byte-compared.
-	sample.SetDefault(scfg)
-	sampledSec, _ := run()
-	sample.SetDefault(sample.Config{})
-	entry.Sample = scfg.String()
-	entry.SampledSec = sampledSec
-	entry.SpeedupSampled = noSec / sampledSec
-	return entry
-}
-
 // timed runs f and returns its wall-clock seconds alongside its output.
 func timed(f func() []byte) (float64, []byte) {
 	t0 := time.Now()
@@ -744,7 +617,7 @@ func pair(name, config string, seq, pipe func() []byte) StudyEntry {
 // without the prep pipeline, both on the same worker pool.
 func benchChipStudy(suite *uservices.Suite, requests int, seed int64, workers int) StudyEntry {
 	run := func(w int) []byte {
-		rows, err := core.ChipStudyParallel(suite, requests, seed, false, w)
+		rows, err := core.ChipStudy(suite.Services, requests, seed, false, w)
 		if err != nil {
 			log.Fatal(err)
 		}

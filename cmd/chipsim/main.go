@@ -26,7 +26,6 @@ import (
 	"strings"
 	"syscall"
 
-	"simr/internal/cacheflag"
 	"simr/internal/core"
 	"simr/internal/dist"
 	"simr/internal/distflag"
@@ -54,13 +53,11 @@ func main() {
 	lookahead := flag.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	cacheFlags := cacheflag.Add(flag.CommandLine)
 	obsFlags := obsflag.Add(flag.CommandLine)
 	sampleFlags := sampleflag.Add(flag.CommandLine)
 	distFlags := distflag.Add(flag.CommandLine)
 	flag.Parse()
 	core.SetPrepLookahead(*lookahead)
-	cacheFlags.Setup()
 	if _, err := sampleFlags.Setup(); err != nil {
 		log.Fatal(err)
 	}
@@ -148,7 +145,7 @@ func main() {
 			rows = runDist(dist.StudyMultiBatch, nil, false).Multi
 		} else {
 			var err error
-			rows, err = core.MultiBatchSweep(suite, *seed, *parallel)
+			rows, err = core.MultiBatchSweep(suite.Services, *seed, *parallel)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -161,18 +158,18 @@ func main() {
 		return
 	}
 	if *timing {
-		fmt.Println("RPU timing-knob sweep: lanes {8,32} x majority vote x atomics placement")
-		fmt.Println("(timing knobs share prepared batch streams; see EXPERIMENTS.md, batch-stream caching)")
 		var rows []core.TimingRow
 		if distFlags.Active() {
 			rows = runDist(dist.StudyTiming, nil, false).Timing
 		} else {
 			var err error
-			rows, err = core.TimingSweepParallel(suite, *requests, *seed, *parallel)
+			rows, err = core.TimingSweep(suite.Services, *requests, *seed, *parallel)
 			if err != nil {
 				log.Fatal(err)
 			}
 		}
+		fmt.Println("RPU timing-knob sweep: lanes {8,32} x majority vote x atomics placement")
+		fmt.Println("(timing knobs share prepared batch streams; see EXPERIMENTS.md, batch-stream caching)")
 		core.WriteTimingSweep(os.Stdout, rows)
 		return
 	}
@@ -188,7 +185,19 @@ func main() {
 			}
 			return
 		}
-		if err := core.SensitivityStudyParallel(os.Stdout, suite, subset, *requests, *seed, *parallel); err != nil {
+		svcs, err := suite.Lookup(subset...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		pairs, err := core.SensitivityStudy(svcs, *requests, *seed, *parallel)
+		if err != nil {
+			log.Fatal(err)
+		}
+		names := make([]string, len(svcs))
+		for i, svc := range svcs {
+			names[i] = svc.Name
+		}
+		if err := core.WriteSensitivity(os.Stdout, names, pairs); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -200,7 +209,7 @@ func main() {
 			rows = runDist(dist.StudyMPKI, nil, false).MPKI
 		} else {
 			var err error
-			rows, err = core.MPKIStudyParallel(suite, *requests, *seed, *parallel)
+			rows, err = core.MPKIStudy(suite.Services, *requests, *seed, *parallel)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -215,7 +224,7 @@ func main() {
 		rows = runDist(dist.StudyChip, nil, *gpu).Chip
 	} else {
 		var err error
-		rows, err = core.ChipStudyParallel(suite, *requests, *seed, *gpu, *parallel)
+		rows, err = core.ChipStudy(suite.Services, *requests, *seed, *gpu, *parallel)
 		if err != nil {
 			log.Fatal(err)
 		}

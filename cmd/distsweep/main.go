@@ -25,7 +25,6 @@ import (
 	"strings"
 	"syscall"
 
-	"simr/internal/cacheflag"
 	"simr/internal/core"
 	"simr/internal/dist"
 	"simr/internal/distflag"
@@ -43,13 +42,11 @@ func main() {
 	lookahead := flag.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	cacheFlags := cacheflag.Add(flag.CommandLine)
 	obsFlags := obsflag.Add(flag.CommandLine)
 	sampleFlags := sampleflag.Add(flag.CommandLine)
 	distFlags := distflag.Add(flag.CommandLine)
 	flag.Parse()
 	core.SetPrepLookahead(*lookahead)
-	cacheFlags.Setup()
 	if _, err := sampleFlags.Setup(); err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"simr/internal/cacheflag"
 	"simr/internal/core"
 	"simr/internal/dist"
 	"simr/internal/distflag"
@@ -38,13 +37,11 @@ func main() {
 	lookahead := flag.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	cacheFlags := cacheflag.Add(flag.CommandLine)
 	obsFlags := obsflag.Add(flag.CommandLine)
 	sampleFlags := sampleflag.Add(flag.CommandLine)
 	distFlags := distflag.Add(flag.CommandLine)
 	flag.Parse()
 	core.SetPrepLookahead(*lookahead)
-	cacheFlags.Setup()
 	if _, err := sampleFlags.Setup(); err != nil {
 		log.Fatal(err)
 	}
@@ -104,7 +101,7 @@ func benchSweep(ctx context.Context, distFlags *distflag.Flags, requests int, se
 	}
 
 	t0 := time.Now()
-	seqRows, err := core.ChipStudyParallel(suite, requests, seed, false, 1)
+	seqRows, err := core.ChipStudy(suite.Services, requests, seed, false, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +123,7 @@ func benchSweep(ctx context.Context, distFlags *distflag.Flags, requests int, se
 		parRows = res.Studies[0].Chip
 		parTag = fmt.Sprintf("dist (%s)", distFlags.Mode())
 	} else {
-		parRows, err = core.ChipStudyParallel(suite, requests, seed, false, parallel)
+		parRows, err = core.ChipStudy(suite.Services, requests, seed, false, parallel)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func main() {
 	defer obsFlags.Close()
 
 	suite := uservices.NewSuite()
-	rows, err := core.EfficiencyStudyParallel(suite, *requests, *seed, *parallel)
+	rows, err := core.EfficiencyStudy(suite.Services, *requests, *seed, *parallel)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func main() {
 	flag.Parse()
 
 	suite := simr.NewSuite()
-	rows, err := simr.ChipStudyParallel(suite, *requests, *seed, false, *parallel)
+	rows, err := simr.ChipStudy(suite.Services, *requests, *seed, false, *parallel)
 	if err != nil {
 		log.Fatal(err)
 	}

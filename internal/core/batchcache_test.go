@@ -7,6 +7,7 @@ import (
 
 	"simr/internal/alloc"
 	"simr/internal/batch"
+	"simr/internal/obs"
 	"simr/internal/sample"
 	"simr/internal/simt"
 	"simr/internal/trace"
@@ -15,7 +16,7 @@ import (
 
 // withFreshBatchStreams runs fn with the sweep-level batch-stream
 // cache disabled so every cell prepares its batches from scratch (the
-// pre-memoization code path).
+// fresh-prep oracle).
 func withFreshBatchStreams(t *testing.T, fn func()) {
 	t.Helper()
 	disableBatchCache = true
@@ -39,6 +40,7 @@ func withLookahead(t *testing.T, la int, fn func()) {
 // doubles as the cache's concurrent integration test.
 func TestBatchCacheStudyDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
+	svcs := suite.Services
 
 	t.Run("chip", func(t *testing.T) {
 		render := func(rows []ChipRow) []byte {
@@ -56,13 +58,13 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 					// withGPU exercises cross-architecture stream
 					// sharing: RPU and GPU cells have identical prep
 					// keys and must serve each other's streams.
-					cached, err := ChipStudyParallel(suite, 32, 3, true, workers)
+					cached, err := ChipStudy(svcs, 32, 3, true, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var fresh []ChipRow
 					withFreshBatchStreams(t, func() {
-						fresh, err = ChipStudyParallel(suite, 32, 3, true, workers)
+						fresh, err = ChipStudy(svcs, 32, 3, true, workers)
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -78,51 +80,27 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 	t.Run("sensitivity", func(t *testing.T) {
 		for _, la := range []int{0, 4} {
 			withLookahead(t, la, func() {
-				var cached, fresh bytes.Buffer
-				if err := SensitivityStudyParallel(&cached, suite, []string{"urlshort", "memc"}, 64, 3, 4); err != nil {
-					t.Fatal(err)
-				}
-				var err error
+				names := []string{"urlshort", "memc"}
+				cached := sensReport(t, suite, names, 64, 3, 4)
+				var fresh string
 				withFreshBatchStreams(t, func() {
-					err = SensitivityStudyParallel(&fresh, suite, []string{"urlshort", "memc"}, 64, 3, 4)
+					fresh = sensReport(t, suite, names, 64, 3, 4)
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cached.String() != fresh.String() {
+				if cached != fresh {
 					t.Fatalf("lookahead=%d: memoized sensitivity report differs from fresh preparation", la)
 				}
 			})
 		}
 	})
 
-	t.Run("multibatch", func(t *testing.T) {
-		for _, workers := range []int{1, 4} {
-			cached, err := MultiBatchSweep(suite, 3, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fresh []MultiBatchRow
-			withFreshBatchStreams(t, func() {
-				fresh, err = MultiBatchSweep(suite, 3, workers)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(cached, fresh) {
-				t.Fatalf("workers=%d: memoized multi-batch sweep differs from fresh preparation", workers)
-			}
-		}
-	})
-
 	t.Run("efficiency", func(t *testing.T) {
-		cached, err := EfficiencyStudyParallel(suite, 64, 7, 4)
+		cached, err := EfficiencyStudy(svcs, 64, 7, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var fresh []EffRow
 		withFreshBatchStreams(t, func() {
-			fresh, err = EfficiencyStudyParallel(suite, 64, 7, 4)
+			fresh, err = EfficiencyStudy(svcs, 64, 7, 4)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -139,13 +117,13 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 			return buf.Bytes()
 		}
 		withLookahead(t, 1, func() {
-			cached, err := TimingSweepParallel(suite, 32, 3, 4)
+			cached, err := TimingSweep(svcs, 32, 3, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var fresh []TimingRow
 			withFreshBatchStreams(t, func() {
-				fresh, err = TimingSweepParallel(suite, 32, 3, 4)
+				fresh, err = TimingSweep(svcs, 32, 3, 4)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -155,6 +133,72 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestBatchCacheAdmission checks each study's cell plan against the
+// batch-stream cache's counters, one service per run so the
+// trace.batchcache obs scope (the process-wide mirror of
+// BatchCache.Stats) reports that service alone. Only cells that share
+// a prep signature may look up: the scalar and SMT-8 cells never do,
+// nor do cells with a unique signature, and every sharing cell after
+// the first is served from the cache.
+func TestBatchCacheAdmission(t *testing.T) {
+	suite := uservices.NewSuite()
+	const requests, seed, workers = 64, 3, 2
+	for _, name := range []string{"memc", "uniqueid"} {
+		svc := suite.Get(name)
+		svcs := []*uservices.Service{svc}
+		reqs := genRequests(svc, requests, seed)
+		nb := uint64(len(batch.Form(reqs, svc.TunedBatch, batch.PerAPIArgSize)))
+
+		// The three MinSP-PC efficiency cells share one signature but
+		// form different batches: only batches an earlier policy already
+		// formed can hit. The IPDOM cell's signature is unique.
+		var effLookups uint64
+		effKeys := map[string]bool{}
+		for _, p := range []batch.Policy{batch.Naive, batch.PerAPI, batch.PerAPIArgSize} {
+			for _, b := range batch.Form(reqs, effBatch, p) {
+				effLookups++
+				effKeys[string(effKey(nil, b.Requests, effBatch, false))] = true
+			}
+		}
+		effMisses := uint64(len(effKeys))
+
+		cases := []struct {
+			study        string
+			run          func() error
+			hits, misses uint64
+		}{
+			{"chip", func() error { _, err := ChipStudy(svcs, requests, seed, false, workers); return err }, 0, 0},
+			{"chip-gpu", func() error { _, err := ChipStudy(svcs, requests, seed, true, workers); return err }, nb, nb},
+			{"timing", func() error { _, err := TimingSweep(svcs, requests, seed, workers); return err }, 7 * nb, nb},
+			{"sensitivity", func() error { _, err := SensitivityStudy(svcs, requests, seed, workers); return err }, 3 * nb, nb},
+			{"efficiency", func() error { _, err := EfficiencyStudy(svcs, requests, seed, workers); return err }, effLookups - effMisses, effMisses},
+			{"mpki", func() error { _, err := MPKIStudy(svcs, requests, seed, workers); return err }, 0, 0},
+			{"multibatch", func() error { _, err := MultiBatchSweep(svcs, seed, workers); return err }, 0, 0},
+			{"batchsweep", func() error { _, _, err := BatchSweep(svc, reqs, []int{32, 8}, workers); return err }, 0, 0},
+		}
+		for _, c := range cases {
+			reg := obs.NewRegistry()
+			obs.Enable(reg, nil)
+			err := c.run()
+			obs.Disable()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, c.study, err)
+			}
+			var got obs.ScopeSnapshot
+			for _, sc := range reg.Snapshot().Scopes {
+				if sc.Name == "trace.batchcache" {
+					got = sc
+				}
+			}
+			hits, misses, bypassed := uint64(got.Counters["hits"]), uint64(got.Counters["misses"]), got.Counters["bypassed"]
+			if hits != c.hits || misses != c.misses || bypassed != 0 {
+				t.Errorf("%s/%s: %d hits, %d misses, %d bypassed; want %d hits, %d misses, 0 bypassed",
+					name, c.study, hits, misses, bypassed, c.hits, c.misses)
+			}
+		}
+	}
 }
 
 // TestBatchCacheRunServiceHits verifies the direct contract at the

@@ -48,10 +48,11 @@ type Options struct {
 	Traces *trace.Cache
 	// BatchStreams optionally supplies the sweep's shared batch-stream
 	// cache memoizing the post-merge preparation product (merged uop
-	// stream + MCU delta + op counts) across cells that differ only in
-	// timing-model knobs; nil prepares every batch fresh. Cached
-	// streams are cache-owned and read-only. Results are byte-identical
-	// either way.
+	// stream + MCU delta + op counts) of RPU/GPU runs across cells that
+	// differ only in timing-model knobs; nil prepares every batch
+	// fresh. The study drivers hand it only to cells whose prep
+	// signature another cell shares. Cached streams are cache-owned and
+	// read-only. Results are byte-identical either way.
 	BatchStreams *trace.BatchCache
 	// PrepLookahead bounds how many upcoming batches (or request
 	// groups) are prepared — trace fetch, SIMT lock-step merge, uop
@@ -160,6 +161,38 @@ func batchTraces(tc *trace.Cache, svc *uservices.Service, reqs []uservices.Reque
 	return svc.TraceBatch(reqs, sg, policy, lineBytes, banks)
 }
 
+// batchSize resolves the options' batch size for svc (0 = tuned).
+func (o *Options) batchSize(svc *uservices.Service) int {
+	if o.BatchSize > 0 {
+		return o.BatchSize
+	}
+	return svc.TunedBatch
+}
+
+// batchKey appends the batch-stream key of one RPU/GPU batch to dst:
+// reqs lock-stepped at width size under opts, laid out for an L1 of
+// banks banks. Batch 0's stack group always starts at StackRegion, so
+// the key's stack base is known without laying the group out. Lanes,
+// majority voting, atomics placement and frequency are timing-only and
+// deliberately absent.
+func batchKey(dst []byte, reqs []uservices.Request, size int, opts *Options, banks int) []byte {
+	return trace.AppendBatchKey(dst, trace.KeyBatch, reqs, size,
+		opts.UseIPDOM, opts.Spin, opts.AllocPolicy, opts.StackInterleave,
+		lineBytes, banks, alloc.StackRegion)
+}
+
+// prepSignature returns the prep signature of a run of svc on arch
+// under opts: its batch key with an empty request list, which holds
+// every key field but the requests. Two runs can share a batch stream
+// only if their signatures are equal. It is nil for the scalar CPU and
+// SMT-8 runs, which never consult the batch cache.
+func prepSignature(arch Arch, svc *uservices.Service, opts *Options) []byte {
+	if arch != ArchRPU && arch != ArchGPU {
+		return nil
+	}
+	return batchKey(nil, nil, opts.batchSize(svc), opts, MemConfig(arch).L1.Banks)
+}
+
 // RunService executes the requests on one core of the architecture and
 // returns the aggregated measurement. CPU runs the requests
 // sequentially; SMT-8 runs them in groups of 8; RPU/GPU batch them via
@@ -258,40 +291,16 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 
 	// One slot per in-flight group: all of a group's streams live in
 	// the slot's arena simultaneously until merged, and the merged
-	// stream stays valid until the timing core has consumed it. The
-	// merge is memoized through the sweep's batch-stream cache when the
-	// options carry one; each slot owns one build closure (reading the
-	// group through the slot) so the hit path allocates nothing.
+	// stream stays valid until the timing core has consumed it.
 	la := opts.lookahead()
 	type smtSlot struct {
 		ub      uopBuilder
 		streams [][]pipeline.Uop
-		key     []byte
-		group   []uservices.Request
-		local   trace.BatchStream
-		stream  *trace.BatchStream
-		build   func() (*trace.BatchStream, error)
+		uops    []pipeline.Uop
+		n       int
 	}
 	sp := newRunSampler(opts.sampleConfig(), groups, len(reqs))
 	slots := make([]smtSlot, la+1)
-	for i := range slots {
-		sl := &slots[i]
-		sl.build = func() (*trace.BatchStream, error) {
-			group := sl.group
-			sl.ub.reset()
-			sl.streams = sl.streams[:0]
-			for t := range group {
-				tr, err := scalarTrace(opts.Traces, svc, &group[t], t, sg.StackBase(t), alloc.PolicyCPU, 1)
-				if err != nil {
-					return nil, err
-				}
-				sl.streams = append(sl.streams, sl.ub.scalarUops(tr, t))
-			}
-			sl.local = trace.BatchStream{Requests: len(group)}
-			sl.local.Uops = sl.ub.mergeSMT(sl.streams)
-			return &sl.local, nil
-		}
-	}
 	err := pipelined(sp.unitCount(groups), la,
 		func(slot, k int) error {
 			g := sp.unit(k)
@@ -301,34 +310,35 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 				end = len(reqs)
 			}
 			sl := &slots[slot]
-			sl.group = reqs[off:end]
-			var err error
-			if opts.BatchStreams == nil {
-				sl.stream, err = sl.build()
-				return err
+			group := reqs[off:end]
+			sl.ub.reset()
+			sl.streams = sl.streams[:0]
+			for t := range group {
+				tr, err := scalarTrace(opts.Traces, svc, &group[t], t, sg.StackBase(t), alloc.PolicyCPU, 1)
+				if err != nil {
+					return err
+				}
+				sl.streams = append(sl.streams, sl.ub.scalarUops(tr, t))
 			}
-			// sg.StackBase(0)-StackSize is the group's base address
-			// (thread t's stack starts one StackSize above base+t).
-			sl.key = trace.AppendBatchKey(sl.key[:0], trace.KeySMT, sl.group, ways,
-				false, nil, alloc.PolicyCPU, false, lineBytes, 1, sg.StackBase(0)-alloc.StackSize)
-			sl.stream, err = opts.BatchStreams.Get(sl.key, sl.build)
-			return err
+			sl.uops = sl.ub.mergeSMT(sl.streams)
+			sl.n = len(group)
+			return nil
 		},
 		func(slot, k int) {
-			bs := slots[slot].stream
+			sl := &slots[slot]
 			if !sp.timed(sp.unit(k)) {
-				sp.warm(cpu, ms, bs.Uops)
+				sp.warm(cpu, ms, sl.uops)
 				return
 			}
 			prev := ms.Stats()
 			ms.ResetTiming()
-			st := cpu.Run(ms, bs.Uops)
+			st := cpu.Run(ms, sl.uops)
 			st.Mem = st.Mem.Delta(&prev)
 			res.Stats.Accumulate(&st)
-			for j := 0; j < bs.Requests; j++ {
+			for j := 0; j < sl.n; j++ {
 				res.Latency.Add(float64(st.Cycles))
 			}
-			sp.observe(&st, bs.Requests)
+			sp.observe(&st, sl.n)
 		})
 	if err != nil {
 		return nil, err
@@ -350,10 +360,7 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 	}
 	cfgP.MajorityVote = opts.MajorityVote
 	cfgM.AtomicsAtL3 = opts.AtomicsAtL3
-	size := opts.BatchSize
-	if size <= 0 {
-		size = svc.TunedBatch
-	}
+	size := opts.batchSize(svc)
 
 	ms := mem.NewSystem(cfgM)
 	rpu := pipeline.NewCore(cfgP)
@@ -428,13 +435,7 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 				sl.stream, err = sl.build()
 				return err
 			}
-			// Batch 0's stack group always starts at StackRegion, so
-			// the key's stack base is known without laying the group
-			// out. Lanes, majority voting, atomics placement and
-			// frequency are timing-only and deliberately absent.
-			sl.key = trace.AppendBatchKey(sl.key[:0], trace.KeyBatch, sl.batch.Requests, size,
-				opts.UseIPDOM, opts.Spin, opts.AllocPolicy, opts.StackInterleave,
-				lineBytes, cfgM.L1.Banks, alloc.StackRegion)
+			sl.key = batchKey(sl.key[:0], sl.batch.Requests, size, &opts, cfgM.L1.Banks)
 			sl.stream, err = opts.BatchStreams.Get(sl.key, sl.build)
 			return err
 		},

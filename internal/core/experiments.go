@@ -25,6 +25,21 @@ type EffRow struct {
 	Naive, PerAPI, PerArg, PerArgIPDOM float64
 }
 
+// effBatch is the hardware batch width of the Figure 4/11 study.
+const effBatch = 32
+
+// effKey appends the batch-stream key of one count-only efficiency
+// stream to dst: reqs lock-stepped at width size under MinSP-PC with
+// the default spin policy, or under IPDOM.
+func effKey(dst []byte, reqs []uservices.Request, size int, ipdom bool) []byte {
+	spin := &simt.DefaultSpin // read, never written
+	if ipdom {
+		spin = nil
+	}
+	return trace.AppendBatchKey(dst, trace.KeyEff, reqs, size,
+		ipdom, spin, alloc.PolicySIMR, true, lineBytes, 8, alloc.StackRegion)
+}
+
 // efficiencyOf lock-steps all batches of a policy and returns weighted
 // SIMT efficiency. tc may be nil to interpret traces fresh; bc may be
 // nil to lock-step every batch fresh. The study only needs the op
@@ -71,8 +86,7 @@ func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p 
 		if bc == nil {
 			st, err = build()
 		} else {
-			key = trace.AppendBatchKey(key[:0], trace.KeyEff, b.Requests, size,
-				ipdom, sp, alloc.PolicySIMR, true, lineBytes, 8, alloc.StackRegion)
+			key = effKey(key[:0], b.Requests, size, ipdom)
 			st, err = bc.Get(key, build)
 		}
 		if err != nil {
@@ -85,14 +99,6 @@ func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p 
 		return 0, nil
 	}
 	return float64(scalar) / (float64(ops) * float64(size)), nil
-}
-
-// EfficiencyStudy reproduces Figures 4 and 11: SIMT control efficiency
-// per service under naive, per-API and per-API+argument-size batching
-// (MinSP-PC), plus the ideal stack-based IPDOM reference, at batch 32.
-// It is EfficiencyStudyParallel on one worker.
-func EfficiencyStudy(suite *uservices.Suite, requests int, seed int64) ([]EffRow, error) {
-	return EfficiencyStudyParallel(suite, requests, seed, 1)
 }
 
 // WriteEfficiency renders the Figure 4/11 table.
@@ -128,13 +134,6 @@ type ChipRow struct {
 	Service       string
 	CPU, SMT, RPU *Result
 	GPU           *Result // nil unless requested
-}
-
-// ChipStudy runs the chip-level comparison for every service.
-// withGPU additionally runs the Ampere-like GPU model (§V-A3). It is
-// ChipStudyParallel on one worker.
-func ChipStudy(suite *uservices.Suite, requests int, seed int64, withGPU bool) ([]ChipRow, error) {
-	return ChipStudyParallel(suite, requests, seed, withGPU, 1)
 }
 
 // WriteFig10 renders the CPU dynamic-energy breakdown per pipeline
@@ -254,13 +253,6 @@ type MPKIRow struct {
 	Service string
 	CPU     float64
 	RPU     map[int]float64 // batch size -> MPKI
-}
-
-// MPKIStudy reproduces Figure 15: L1 MPKI of the single-threaded CPU
-// (64 KB L1) vs the RPU (256 KB L1) at batch sizes 32/16/8/4. It is
-// MPKIStudyParallel on one worker.
-func MPKIStudy(suite *uservices.Suite, requests int, seed int64) ([]MPKIRow, error) {
-	return MPKIStudyParallel(suite, requests, seed, 1)
 }
 
 // WriteFig15 renders the MPKI table.

@@ -8,7 +8,6 @@ import (
 	"simr/internal/mem"
 	"simr/internal/pipeline"
 	"simr/internal/simt"
-	"simr/internal/trace"
 	"simr/internal/uservices"
 )
 
@@ -168,10 +167,7 @@ func (r *MultiBatchResult) Speedup() float64 {
 // both runtimes. The paper leaves multi-batch scheduling as future
 // work; this quantifies its headroom at nanosecond-scale stalls.
 func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Options) (*MultiBatchResult, error) {
-	size := opts.BatchSize
-	if size <= 0 {
-		size = svc.TunedBatch
-	}
+	size := opts.batchSize(svc)
 	if len(reqs) < 2*size {
 		size = len(reqs) / 2
 	}
@@ -179,49 +175,21 @@ func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Opti
 	cfgM := MemConfig(ArchRPU)
 
 	var (
-		ub  uopBuilder // never reset: streams a and b stay alive together
-		sc  simt.Scratch
-		key []byte
+		ub uopBuilder // never reset: streams a and b stay alive together
+		sc simt.Scratch
 	)
 	mkUops := func(rs []uservices.Request, thread int) ([]pipeline.Uop, error) {
 		sg := alloc.NewStackGroup(0, len(rs), opts.StackInterleave)
-		var local trace.BatchStream
-		build := func() (*trace.BatchStream, error) {
-			traces, err := batchTraces(opts.Traces, svc, rs, sg, opts.AllocPolicy, cfgM.L1.Banks)
-			if err != nil {
-				return nil, err
-			}
-			merged, err := simt.RunMinSPPCWith(&sc, traces, size, opts.Spin)
-			if err != nil {
-				return nil, err
-			}
-			local.Uops = ub.batchUops(merged.Ops, sg, opts.StackInterleave, &local.MCU)
-			local.ScalarOps = merged.ScalarOps
-			local.BatchOps = len(merged.Ops)
-			local.Requests = len(rs)
-			return &local, nil
+		traces, err := batchTraces(opts.Traces, svc, rs, sg, opts.AllocPolicy, cfgM.L1.Banks)
+		if err != nil {
+			return nil, err
 		}
-		var uops []pipeline.Uop
-		if opts.BatchStreams == nil {
-			st, err := build()
-			if err != nil {
-				return nil, err
-			}
-			uops = st.Uops
-		} else {
-			// The study always lock-steps with MinSP-PC, so the key
-			// says ipdom=false regardless of opts.UseIPDOM.
-			key = trace.AppendBatchKey(key[:0], trace.KeyBatch, rs, size,
-				false, opts.Spin, opts.AllocPolicy, opts.StackInterleave,
-				lineBytes, cfgM.L1.Banks, alloc.StackRegion)
-			st, err := opts.BatchStreams.Get(key, build)
-			if err != nil {
-				return nil, err
-			}
-			// The stream may be cache-owned (immutable): copy it into
-			// the local arena before overwriting Thread below.
-			uops = ub.copyUops(st.Uops)
+		merged, err := simt.RunMinSPPCWith(&sc, traces, size, opts.Spin)
+		if err != nil {
+			return nil, err
 		}
+		var mcu mem.MCUStats
+		uops := ub.batchUops(merged.Ops, sg, opts.StackInterleave, &mcu)
 		for i := range uops {
 			uops[i].Thread = thread
 		}

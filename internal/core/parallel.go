@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -137,61 +138,58 @@ func genRequests(svc *uservices.Service, requests int, seed int64) []uservices.R
 	return svc.Generate(rand.New(rand.NewSource(seed)), requests)
 }
 
+// studyRequests returns the request-stream generator of a study that
+// runs requests requests per service from seed.
+func studyRequests(requests int, seed int64) func(*uservices.Service) []uservices.Request {
+	return func(svc *uservices.Service) []uservices.Request { return genRequests(svc, requests, seed) }
+}
+
+// checkRequests rejects a non-positive per-service request count: no
+// request means no measurement, only NaN ratios.
+func checkRequests(requests int) error {
+	if requests <= 0 {
+		return fmt.Errorf("core: requests per service must be positive, got %d", requests)
+	}
+	return nil
+}
+
 // disableTraceCache turns off trace caching (and request-stream
 // sharing) for the whole package; the determinism tests flip it to
 // compare cached sweeps against fresh interpretation byte for byte.
 var disableTraceCache bool
 
 // disableBatchCache turns off batch-stream caching for the whole
-// package; the determinism tests (and the drivers' -batchcache=false)
-// flip it to compare memoized sweeps against fresh preparation byte
-// for byte.
+// package; the determinism tests flip it to compare memoized sweeps
+// against fresh preparation byte for byte.
 var disableBatchCache bool
 
-// cacheBudgetBytes overrides the shared per-sweep cache byte budget
-// (0 = trace.DefaultBudgetBytes). The scalar trace cache and the
-// batch-stream cache draw on the same budget.
-var cacheBudgetBytes int64
+// prepCell places one cell of a sweep: the index of the service it
+// runs and its prep signature (nil when the cell never consults the
+// batch cache; see prepSignature).
+type prepCell struct {
+	svc int
+	sig []byte
+}
 
-// SetTraceCaching enables or disables the sweep-wide scalar-trace
-// cache (and request-stream sharing). Results are byte-identical
-// either way; only wall clock changes. Not safe to flip concurrently
-// with a running study.
-func SetTraceCaching(on bool) { disableTraceCache = !on }
-
-// SetBatchCaching enables or disables the sweep-wide batch-stream
-// cache (the drivers' -batchcache flag). Results are byte-identical
-// either way; only wall clock changes. Not safe to flip concurrently
-// with a running study.
-func SetBatchCaching(on bool) { disableBatchCache = !on }
-
-// SetCacheBudget pins the byte budget the per-sweep caches (scalar
-// traces + batch streams together) may retain; <= 0 restores
-// trace.DefaultBudgetBytes. Over-budget entries are served but not
-// retained, so results are byte-identical at any budget.
-func SetCacheBudget(bytes int64) { cacheBudgetBytes = bytes }
-
-// TraceCaching reports whether the sweep-wide scalar-trace cache is
-// enabled. The distributed dispatcher reads it to forward the driver's
-// flag state to workers.
-func TraceCaching() bool { return !disableTraceCache }
-
-// BatchCaching reports whether the sweep-wide batch-stream cache is
-// enabled.
-func BatchCaching() bool { return !disableBatchCache }
-
-// CacheBudget returns the pinned cache byte budget (0 = default).
-func CacheBudget() int64 { return cacheBudgetBytes }
-
-// sweepCaches owns one trace.Cache, one trace.BatchCache and one
-// shared request stream per service of a sweep, all drawing on a
-// single byte budget. Cells of the same service share the caches and
-// the stream (all read-only); a per-service countdown drops both
-// caches — returning their bytes to the budget — as soon as the
-// service's last cell finishes, so long sweeps never hold every
-// service's traces and streams at once.
+// sweepCaches owns one trace.Cache and one shared request stream per
+// service of a sweep, plus a trace.BatchCache for each service whose
+// cells share a prep signature, all drawing on a single byte budget.
+// Cells of the same service share the caches and the stream (all
+// read-only); a per-service countdown drops both caches — returning
+// their bytes to the budget — as soon as the service's last cell
+// finishes, so long sweeps never hold every service's traces and
+// streams at once.
+//
+// Batch-cache admission follows from the cell plan: a cell gets its
+// service's batch cache only when another cell of that service has the
+// same prep signature. Keys are collision-free and carry every
+// signature field, so a cell with a unique signature could only ever
+// miss and pay for a retained copy nobody reads.
 type sweepCaches struct {
 	svcs    []*uservices.Service
+	gen     func(*uservices.Service) []uservices.Request
+	cells   []prepCell
+	shared  []bool
 	budget  *trace.Budget
 	caches  []*trace.Cache
 	bcaches []*trace.BatchCache
@@ -200,12 +198,15 @@ type sweepCaches struct {
 	left    []atomic.Int32
 }
 
-// newSweepCaches builds the per-service caches for a sweep in which
-// every service is evaluated by cellsPer cells.
-func newSweepCaches(svcs []*uservices.Service, cellsPer int) *sweepCaches {
+// newSweepCaches builds the per-service caches for a sweep of the
+// given cells; gen produces a service's request stream.
+func newSweepCaches(svcs []*uservices.Service, gen func(*uservices.Service) []uservices.Request, cells []prepCell) *sweepCaches {
 	sw := &sweepCaches{
 		svcs:    svcs,
-		budget:  trace.NewBudget(cacheBudgetBytes),
+		gen:     gen,
+		cells:   cells,
+		shared:  make([]bool, len(cells)),
+		budget:  trace.NewBudget(0),
 		caches:  make([]*trace.Cache, len(svcs)),
 		bcaches: make([]*trace.BatchCache, len(svcs)),
 		reqs:    make([][]uservices.Request, len(svcs)),
@@ -214,8 +215,25 @@ func newSweepCaches(svcs []*uservices.Service, cellsPer int) *sweepCaches {
 	}
 	for i, svc := range svcs {
 		sw.caches[i] = trace.NewCache(svc, sw.budget)
-		sw.bcaches[i] = trace.NewBatchCache(sw.budget)
-		sw.left[i].Store(int32(cellsPer))
+	}
+	sigs := make([]map[string]int, len(svcs))
+	for _, c := range cells {
+		sw.left[c.svc].Add(1)
+		if c.sig != nil {
+			if sigs[c.svc] == nil {
+				sigs[c.svc] = map[string]int{}
+			}
+			sigs[c.svc][string(c.sig)]++
+		}
+	}
+	for i, c := range cells {
+		if c.sig == nil || sigs[c.svc][string(c.sig)] < 2 {
+			continue
+		}
+		sw.shared[i] = true
+		if sw.bcaches[c.svc] == nil {
+			sw.bcaches[c.svc] = trace.NewBatchCache(sw.budget)
+		}
 	}
 	return sw
 }
@@ -229,22 +247,23 @@ func (sw *sweepCaches) cache(s int) *trace.Cache {
 	return sw.caches[s]
 }
 
-// batchCache returns service s's batch-stream cache (nil when batch
-// caching is disabled, which makes every consumer prepare fresh).
-func (sw *sweepCaches) batchCache(s int) *trace.BatchCache {
-	if disableBatchCache {
+// batchCache returns the batch-stream cache cell i may consult: its
+// service's, when the plan admits the cell, else nil (which prepares
+// every batch fresh).
+func (sw *sweepCaches) batchCache(i int) *trace.BatchCache {
+	if disableBatchCache || !sw.shared[i] {
 		return nil
 	}
-	return sw.bcaches[s]
+	return sw.bcaches[sw.cells[i].svc]
 }
 
 // requests returns service s's shared request stream, generating it on
 // first use. The stream is read-only for all cells.
-func (sw *sweepCaches) requests(s, n int, seed int64) []uservices.Request {
+func (sw *sweepCaches) requests(s int) []uservices.Request {
 	if disableTraceCache {
-		return genRequests(sw.svcs[s], n, seed)
+		return sw.gen(sw.svcs[s])
 	}
-	sw.once[s].Do(func() { sw.reqs[s] = genRequests(sw.svcs[s], n, seed) })
+	sw.once[s].Do(func() { sw.reqs[s] = sw.gen(sw.svcs[s]) })
 	return sw.reqs[s]
 }
 
@@ -257,12 +276,12 @@ func (sw *sweepCaches) done(s int) {
 	}
 }
 
-// abort drops every service's cache. Drivers call it on the sweep's
+// abort drops every service's cache. sweepRun calls it on the sweep's
 // error path: cells abandoned by RunCells never call done, so without
 // the drain a failed sweep would strand each undropped cache's bytes
 // against the shared trace.Budget for as long as the sweep's results
-// stay reachable. Drop is idempotent, so racing a straggler cell's own
-// done is harmless.
+// stay reachable. Drop is idempotent (and nil-safe), so racing a
+// straggler cell's own done is harmless.
 func (sw *sweepCaches) abort() {
 	for _, c := range sw.caches {
 		c.Drop()
@@ -272,57 +291,100 @@ func (sw *sweepCaches) abort() {
 	}
 }
 
-// ChipStudyParallel is ChipStudy on a worker pool: one cell per
-// (service, architecture).
-func ChipStudyParallel(suite *uservices.Suite, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
-	return ChipStudyOn(suite.Services, requests, seed, withGPU, workers)
+// cellEnv is what sweepRun hands one cell: its service, the service's
+// shared request stream and the caches the cell may consult.
+type cellEnv struct {
+	svc     *uservices.Service
+	reqs    []uservices.Request
+	traces  *trace.Cache
+	batches *trace.BatchCache
 }
 
-// ChipStudyOn is ChipStudyParallel restricted to an explicit service
-// subset: per-service rows are independent, so a subset's rows are
-// byte-identical to the same services' rows in a full-suite run. The
-// distributed worker tier executes per-service tasks through it.
-func ChipStudyOn(svcs []*uservices.Service, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
-	arches := []Arch{ArchCPU, ArchSMT8, ArchRPU}
-	if withGPU {
-		arches = append(arches, ArchGPU)
-	}
-	na := len(arches)
-	sw := newSweepCaches(svcs, na)
-	la := prepBudget(len(svcs)*na, workers)
-	cells, err := RunCells(len(svcs)*na, workers, func(i int) (*Result, error) {
-		s := i / na
+// sweepRun evaluates fn for every cell of sw's plan on a pool of
+// workers (see RunCells) and returns the results in plan order.
+func sweepRun[T any](sw *sweepCaches, workers int, fn func(i int, e cellEnv) (T, error)) ([]T, error) {
+	out, err := RunCells(len(sw.cells), workers, func(i int) (T, error) {
+		s := sw.cells[i].svc
 		defer sw.done(s)
-		opts := DefaultOptions()
-		opts.Traces = sw.cache(s)
-		opts.BatchStreams = sw.batchCache(s)
-		opts.PrepLookahead = la
-		return RunService(arches[i%na], svcs[s], sw.requests(s, requests, seed), opts)
+		return fn(i, cellEnv{svc: sw.svcs[s], reqs: sw.requests(s), traces: sw.cache(s), batches: sw.batchCache(i)})
 	})
 	if err != nil {
 		sw.abort()
 		return nil, err
 	}
+	return out, nil
+}
+
+// serviceCell is one RunService call of a sweep: arch and opts applied
+// to service svc. runServiceCells fills in the caches and lookahead.
+type serviceCell struct {
+	svc  int
+	arch Arch
+	opts Options
+}
+
+// runServiceCells runs the cells on a worker pool over the services'
+// shared request streams, admitting each cell to its service's batch
+// cache by prep signature, and returns the results in cell order.
+func runServiceCells(svcs []*uservices.Service, gen func(*uservices.Service) []uservices.Request, cells []serviceCell, workers int) ([]*Result, error) {
+	plan := make([]prepCell, len(cells))
+	for i := range cells {
+		c := &cells[i]
+		plan[i] = prepCell{svc: c.svc, sig: prepSignature(c.arch, svcs[c.svc], &c.opts)}
+	}
+	la := prepBudget(len(cells), workers)
+	return sweepRun(newSweepCaches(svcs, gen, plan), workers, func(i int, e cellEnv) (*Result, error) {
+		opts := cells[i].opts
+		opts.Traces, opts.BatchStreams, opts.PrepLookahead = e.traces, e.batches, la
+		return RunService(cells[i].arch, e.svc, e.reqs, opts)
+	})
+}
+
+// ChipStudy runs the chip-level comparison behind Figures 10, 14, 19,
+// 20 and 21 on a worker pool: one cell per (service, architecture).
+// withGPU additionally runs the Ampere-like GPU model (§V-A3). Rows are
+// per service and independent, so a subset's rows are byte-identical
+// to the same services' rows in a full-suite run; the distributed
+// worker tier runs one-service tasks through it.
+func ChipStudy(svcs []*uservices.Service, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
+	if err := checkRequests(requests); err != nil {
+		return nil, err
+	}
+	arches := []Arch{ArchCPU, ArchSMT8, ArchRPU}
+	if withGPU {
+		arches = append(arches, ArchGPU)
+	}
+	na := len(arches)
+	cells := make([]serviceCell, 0, len(svcs)*na)
+	for s := range svcs {
+		for _, a := range arches {
+			cells = append(cells, serviceCell{svc: s, arch: a, opts: DefaultOptions()})
+		}
+	}
+	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, workers)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]ChipRow, len(svcs))
 	for s, svc := range svcs {
-		row := ChipRow{Service: svc.Name, CPU: cells[s*na], SMT: cells[s*na+1], RPU: cells[s*na+2]}
+		row := ChipRow{Service: svc.Name, CPU: res[s*na], SMT: res[s*na+1], RPU: res[s*na+2]}
 		if withGPU {
-			row.GPU = cells[s*na+3]
+			row.GPU = res[s*na+3]
 		}
 		rows[s] = row
 	}
 	return rows, nil
 }
 
-// EfficiencyStudyParallel is EfficiencyStudy on a worker pool: one
-// cell per (service, policy variant).
-func EfficiencyStudyParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]EffRow, error) {
-	return EfficiencyStudyOn(suite.Services, requests, seed, workers)
-}
-
-// EfficiencyStudyOn is EfficiencyStudyParallel restricted to an
-// explicit service subset (see ChipStudyOn).
-func EfficiencyStudyOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]EffRow, error) {
+// EfficiencyStudy reproduces Figures 4 and 11 on a worker pool: SIMT
+// control efficiency per service under naive, per-API and
+// per-API+argument-size batching (MinSP-PC), plus the ideal
+// stack-based IPDOM reference, at batch 32. One cell per (service,
+// policy variant).
+func EfficiencyStudy(svcs []*uservices.Service, requests int, seed int64, workers int) ([]EffRow, error) {
+	if err := checkRequests(requests); err != nil {
+		return nil, err
+	}
 	variants := []struct {
 		policy batch.Policy
 		ipdom  bool
@@ -333,15 +395,18 @@ func EfficiencyStudyOn(svcs []*uservices.Service, requests int, seed int64, work
 		{batch.PerAPIArgSize, true},
 	}
 	nv := len(variants)
-	sw := newSweepCaches(svcs, nv)
-	cells, err := RunCells(len(svcs)*nv, workers, func(i int) (float64, error) {
-		s := i / nv
-		defer sw.done(s)
+	plan := make([]prepCell, 0, len(svcs)*nv)
+	for s := range svcs {
+		for _, v := range variants {
+			plan = append(plan, prepCell{svc: s, sig: effKey(nil, nil, effBatch, v.ipdom)})
+		}
+	}
+	sw := newSweepCaches(svcs, studyRequests(requests, seed), plan)
+	cells, err := sweepRun(sw, workers, func(i int, e cellEnv) (float64, error) {
 		v := variants[i%nv]
-		return efficiencyOf(svcs[s], sw.requests(s, requests, seed), 32, v.policy, v.ipdom, sw.cache(s), sw.batchCache(s))
+		return efficiencyOf(e.svc, e.reqs, effBatch, v.policy, v.ipdom, e.traces, e.batches)
 	})
 	if err != nil {
-		sw.abort()
 		return nil, err
 	}
 	rows := make([]EffRow, len(svcs))
@@ -357,44 +422,33 @@ func EfficiencyStudyOn(svcs []*uservices.Service, requests int, seed int64, work
 	return rows, nil
 }
 
-// MPKIStudyParallel is MPKIStudy on a worker pool: one cell per
-// (service, configuration) where configuration is the CPU or an RPU
-// batch size.
-func MPKIStudyParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]MPKIRow, error) {
-	return MPKIStudyOn(suite.Services, requests, seed, workers)
-}
-
-// MPKIStudyOn is MPKIStudyParallel restricted to an explicit service
-// subset (see ChipStudyOn).
-func MPKIStudyOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]MPKIRow, error) {
+// MPKIStudy reproduces Figure 15 on a worker pool: L1 MPKI of the
+// single-threaded CPU (64 KB L1) vs the RPU (256 KB L1) at batch sizes
+// 32/16/8/4. One cell per (service, configuration).
+func MPKIStudy(svcs []*uservices.Service, requests int, seed int64, workers int) ([]MPKIRow, error) {
+	if err := checkRequests(requests); err != nil {
+		return nil, err
+	}
 	sizes := []int{32, 16, 8, 4}
 	nc := 1 + len(sizes) // CPU + one per batch size
-	sw := newSweepCaches(svcs, nc)
-	la := prepBudget(len(svcs)*nc, workers)
-	cells, err := RunCells(len(svcs)*nc, workers, func(i int) (*Result, error) {
-		s := i / nc
-		defer sw.done(s)
-		svc := svcs[s]
-		reqs := sw.requests(s, requests, seed)
-		opts := DefaultOptions()
-		opts.Traces = sw.cache(s)
-		opts.BatchStreams = sw.batchCache(s)
-		opts.PrepLookahead = la
-		if i%nc == 0 {
-			return RunService(ArchCPU, svc, reqs, opts)
+	cells := make([]serviceCell, 0, len(svcs)*nc)
+	for s := range svcs {
+		cells = append(cells, serviceCell{svc: s, arch: ArchCPU, opts: DefaultOptions()})
+		for _, size := range sizes {
+			opts := DefaultOptions()
+			opts.BatchSize = size
+			cells = append(cells, serviceCell{svc: s, arch: ArchRPU, opts: opts})
 		}
-		opts.BatchSize = sizes[i%nc-1]
-		return RunService(ArchRPU, svc, reqs, opts)
-	})
+	}
+	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, workers)
 	if err != nil {
-		sw.abort()
 		return nil, err
 	}
 	rows := make([]MPKIRow, len(svcs))
 	for s, svc := range svcs {
-		row := MPKIRow{Service: svc.Name, CPU: cells[s*nc].L1MPKI(), RPU: map[int]float64{}}
+		row := MPKIRow{Service: svc.Name, CPU: res[s*nc].L1MPKI(), RPU: map[int]float64{}}
 		for k, size := range sizes {
-			row.RPU[size] = cells[s*nc+1+k].L1MPKI()
+			row.RPU[size] = res[s*nc+1+k].L1MPKI()
 		}
 		rows[s] = row
 	}
@@ -410,29 +464,22 @@ type BatchSweepRow struct {
 // BatchSweep runs the CPU baseline plus an RPU run per batch size over
 // the same requests on a worker pool (the §III-B3 tuning space).
 func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, workers int) (*Result, []BatchSweepRow, error) {
-	sw := newSweepCaches([]*uservices.Service{svc}, 1+len(sizes))
-	la := prepBudget(1+len(sizes), workers)
-	cells, err := RunCells(1+len(sizes), workers, func(i int) (*Result, error) {
-		defer sw.done(0)
+	cells := []serviceCell{{arch: ArchCPU, opts: DefaultOptions()}}
+	for _, size := range sizes {
 		opts := DefaultOptions()
-		opts.Traces = sw.cache(0)
-		opts.BatchStreams = sw.batchCache(0)
-		opts.PrepLookahead = la
-		if i == 0 {
-			return RunService(ArchCPU, svc, reqs, opts)
-		}
-		opts.BatchSize = sizes[i-1]
-		return RunService(ArchRPU, svc, reqs, opts)
-	})
+		opts.BatchSize = size
+		cells = append(cells, serviceCell{arch: ArchRPU, opts: opts})
+	}
+	gen := func(*uservices.Service) []uservices.Request { return reqs }
+	res, err := runServiceCells([]*uservices.Service{svc}, gen, cells, workers)
 	if err != nil {
-		sw.abort()
 		return nil, nil, err
 	}
 	rows := make([]BatchSweepRow, len(sizes))
 	for k, size := range sizes {
-		rows[k] = BatchSweepRow{Size: size, Res: cells[1+k]}
+		rows[k] = BatchSweepRow{Size: size, Res: res[1+k]}
 	}
-	return cells[0], rows, nil
+	return res[0], rows, nil
 }
 
 // MultiBatchRow is one service's §III-A multi-batch interleaving
@@ -442,26 +489,20 @@ type MultiBatchRow struct {
 	Res     *MultiBatchResult
 }
 
-// MultiBatchSweep runs MultiBatchStudy for every service in the suite
-// on a worker pool (two tuned-size batches per service).
-func MultiBatchSweep(suite *uservices.Suite, seed int64, workers int) ([]MultiBatchRow, error) {
-	return MultiBatchSweepOn(suite.Services, seed, workers)
-}
-
-// MultiBatchSweepOn is MultiBatchSweep restricted to an explicit
-// service subset (see ChipStudyOn).
-func MultiBatchSweepOn(svcs []*uservices.Service, seed int64, workers int) ([]MultiBatchRow, error) {
-	sw := newSweepCaches(svcs, 1)
-	cells, err := RunCells(len(svcs), workers, func(i int) (*MultiBatchResult, error) {
-		defer sw.done(i)
-		svc := svcs[i]
+// MultiBatchSweep runs MultiBatchStudy for every given service on a
+// worker pool (two tuned-size batches per service).
+func MultiBatchSweep(svcs []*uservices.Service, seed int64, workers int) ([]MultiBatchRow, error) {
+	plan := make([]prepCell, len(svcs))
+	for s := range plan {
+		plan[s].svc = s
+	}
+	gen := func(svc *uservices.Service) []uservices.Request { return genRequests(svc, 2*svc.TunedBatch, seed) }
+	cells, err := sweepRun(newSweepCaches(svcs, gen, plan), workers, func(_ int, e cellEnv) (*MultiBatchResult, error) {
 		opts := DefaultOptions()
-		opts.Traces = sw.cache(i)
-		opts.BatchStreams = sw.batchCache(i)
-		return MultiBatchStudy(svc, sw.requests(i, 2*svc.TunedBatch, seed), opts)
+		opts.Traces = e.traces
+		return MultiBatchStudy(e.svc, e.reqs, opts)
 	})
 	if err != nil {
-		sw.abort()
 		return nil, err
 	}
 	rows := make([]MultiBatchRow, len(svcs))

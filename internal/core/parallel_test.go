@@ -65,11 +65,11 @@ func TestChipStudyParallelDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	seq, err := ChipStudyParallel(suite, 32, 3, false, 1)
+	seq, err := ChipStudy(suite.Services, 32, 3, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ChipStudyParallel(suite, 32, 3, false, 4)
+	par, err := ChipStudy(suite.Services, 32, 3, false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestChipStudyParallelDeterminism(t *testing.T) {
 
 func TestEfficiencyStudyParallelDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
-	seq, err := EfficiencyStudyParallel(suite, 64, 7, 1)
+	seq, err := EfficiencyStudy(suite.Services, 64, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EfficiencyStudyParallel(suite, 64, 7, 4)
+	par, err := EfficiencyStudy(suite.Services, 64, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestEfficiencyStudyParallelDeterminism(t *testing.T) {
 
 func TestMPKIStudyParallelDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
-	seq, err := MPKIStudyParallel(suite, 32, 3, 1)
+	seq, err := MPKIStudy(suite.Services, 32, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MPKIStudyParallel(suite, 32, 3, 4)
+	par, err := MPKIStudy(suite.Services, 32, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,25 +115,20 @@ func TestMPKIStudyParallelDeterminism(t *testing.T) {
 
 func TestSensitivityStudyParallelDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
-	var seq, par bytes.Buffer
-	if err := SensitivityStudyParallel(&seq, suite, []string{"urlshort", "memc"}, 64, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := SensitivityStudyParallel(&par, suite, []string{"urlshort", "memc"}, 64, 3, 4); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
+	seq := sensReport(t, suite, []string{"urlshort", "memc"}, 64, 3, 1)
+	par := sensReport(t, suite, []string{"urlshort", "memc"}, 64, 3, 4)
+	if seq != par {
 		t.Fatal("parallel sensitivity report differs from sequential")
 	}
 }
 
 func TestMultiBatchSweepDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
-	seq, err := MultiBatchSweep(suite, 3, 1)
+	seq, err := MultiBatchSweep(suite.Services, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MultiBatchSweep(suite, 3, 4)
+	par, err := MultiBatchSweep(suite.Services, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +157,50 @@ func TestBatchSweepDeterminism(t *testing.T) {
 	for i, row := range seq {
 		if row.Size != sizes[i] || row.Res == nil {
 			t.Fatalf("row %d: size %d, res %v", i, row.Size, row.Res)
+		}
+	}
+}
+
+// sensReport runs the sensitivity study on the named services and
+// returns the rendered report.
+func sensReport(t *testing.T, suite *uservices.Suite, names []string, requests int, seed int64, workers int) string {
+	t.Helper()
+	svcs, err := suite.Lookup(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := SensitivityStudy(svcs, requests, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSensitivity(&buf, names, pairs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestStudiesRejectNonPositiveRequests: a study over no requests has
+// nothing to measure (its ratios would print as NaN, and a negative
+// count used to panic in Service.Generate), so every study entry point
+// rejects requests <= 0 with an error.
+func TestStudiesRejectNonPositiveRequests(t *testing.T) {
+	svcs, err := uservices.NewSuite().Lookup("memc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -5} {
+		studies := map[string]func() error{
+			"chip":        func() error { _, err := ChipStudy(svcs, n, 1, false, 1); return err },
+			"efficiency":  func() error { _, err := EfficiencyStudy(svcs, n, 1, 1); return err },
+			"mpki":        func() error { _, err := MPKIStudy(svcs, n, 1, 1); return err },
+			"sensitivity": func() error { _, err := SensitivityStudy(svcs, n, 1, 1); return err },
+			"timing":      func() error { _, err := TimingSweep(svcs, n, 1, 1); return err },
+		}
+		for name, run := range studies {
+			if err := run(); err == nil {
+				t.Errorf("%s with %d requests: no error", name, n)
+			}
 		}
 	}
 }

@@ -171,12 +171,12 @@ func TestPrepPipelineUnderSweep(t *testing.T) {
 	if cpu == nil || len(rows) != 3 {
 		t.Fatalf("cpu=%v rows=%d", cpu, len(rows))
 	}
-	chip, err := ChipStudyParallel(suite, 32, 3, false, 4)
+	chip, err := ChipStudy(suite.Services, 32, 3, false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetPrepLookahead(0)
-	seq, err := ChipStudyParallel(suite, 32, 3, false, 4)
+	seq, err := ChipStudy(suite.Services, 32, 3, false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,9 @@ func TestPrepPipelineUnderSweep(t *testing.T) {
 func TestSweepCachesAbort(t *testing.T) {
 	suite := uservices.NewSuite()
 	svcs := []*uservices.Service{suite.Get("memc"), suite.Get("user")}
-	sw := newSweepCaches(svcs, 2)
+	sw := newSweepCaches(svcs, studyRequests(8, 3), []prepCell{{svc: 0}, {svc: 0}, {svc: 1}, {svc: 1}})
 	for s, svc := range svcs {
-		reqs := sw.requests(s, 8, 3)
+		reqs := sw.requests(s)
 		sg := alloc.NewStackGroup(0, len(reqs), true)
 		if _, err := sw.cache(s).Batch(svc, reqs, sg, alloc.PolicySIMR, 32, 8); err != nil {
 			t.Fatal(err)

@@ -3,53 +3,10 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"simr/internal/alloc"
-	"simr/internal/trace"
 	"simr/internal/uservices"
 )
-
-// SensRow compares one RPU configuration ablation against the baseline
-// for one service.
-type SensRow struct {
-	Service string
-	// Metric-specific values; see each study's writer.
-	Base, Variant float64
-}
-
-// runVariant executes one mutated option set.
-func runVariant(arch Arch, svc *uservices.Service, reqs []uservices.Request, mutate func(*Options), tc *trace.Cache, bc *trace.BatchCache, la int) (*Result, error) {
-	ov := DefaultOptions()
-	ov.Traces = tc
-	ov.BatchStreams = bc
-	ov.PrepLookahead = la
-	mutate(&ov)
-	return RunService(arch, svc, reqs, ov)
-}
-
-// sensBase memoizes one service's baseline runs: every RPU ablation
-// compares against the identical baseline RunService result (same
-// service, same request stream, same default options), so computing it
-// once per (service, architecture) and sharing the Result across cells
-// is byte-identical and saves nearly half the study's simulation work.
-// Results are only ever read after the owning cell's Once completes.
-type sensBase struct {
-	once [NumArchs]sync.Once
-	res  [NumArchs]*Result
-	err  [NumArchs]error
-}
-
-func (b *sensBase) get(arch Arch, svc *uservices.Service, reqs []uservices.Request, tc *trace.Cache, bc *trace.BatchCache, la int) (*Result, error) {
-	b.once[arch].Do(func() {
-		ob := DefaultOptions()
-		ob.Traces = tc
-		ob.BatchStreams = bc
-		ob.PrepLookahead = la
-		b.res[arch], b.err[arch] = RunService(arch, svc, reqs, ob)
-	})
-	return b.res[arch], b.err[arch]
-}
 
 // SensPair is one ablation's (baseline, variant) measurement. Pairs
 // are exported so the distributed tier can ship per-service grids back
@@ -59,7 +16,7 @@ type SensPair struct {
 }
 
 // SensSections returns the number of ablation sections in the §V-A1
-// sensitivity grid (rows of the SensPairsOn result).
+// sensitivity grid (rows of the SensitivityStudy result).
 func SensSections() int { return len(sensMutations) }
 
 // sensMutations lists the §V-A1 ablations in report order; each becomes
@@ -77,62 +34,59 @@ var sensMutations = []struct {
 	{ArchCPU, func(o *Options) { o.CPUPrefetch = true }},
 }
 
-// SensitivityStudy reproduces the §V-A1 sensitivity analyses on the
-// given services and writes the report. It is SensitivityStudyParallel
-// on one worker.
-func SensitivityStudy(w io.Writer, suite *uservices.Suite, services []string, requests int, seed int64) error {
-	return SensitivityStudyParallel(w, suite, services, requests, seed, 1)
-}
-
-// SensitivityStudyParallel computes every (ablation, service) pair on a
-// worker pool, then renders the report sections in order from the
-// precomputed results.
-func SensitivityStudyParallel(w io.Writer, suite *uservices.Suite, services []string, requests int, seed int64, workers int) error {
-	if len(services) == 0 {
-		services = suite.Names()
-	}
-	svcs := make([]*uservices.Service, len(services))
-	for i, name := range services {
-		svcs[i] = suite.Get(name)
-	}
-	pairs, err := SensPairsOn(svcs, requests, seed, workers)
-	if err != nil {
-		return err
-	}
-	return WriteSensitivity(w, services, pairs)
-}
-
-// SensPairsOn computes the sensitivity grid for an explicit service
-// subset on a worker pool. The result is a flat grid indexed
+// SensitivityStudy computes the §V-A1 sensitivity grid for the given
+// services on a worker pool. Each architecture an ablation mutates
+// gets one baseline run per service, shared by all of that
+// architecture's ablations. The result is a flat grid indexed
 // pairs[section*len(svcs)+s], section in report order (SensSections
-// rows). Per-service columns are independent, so a subset's column is
-// byte-identical to the same service's column in a full run.
-func SensPairsOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]SensPair, error) {
-	ns := len(svcs)
-	sw := newSweepCaches(svcs, len(sensMutations))
-	bases := make([]sensBase, ns)
-	la := prepBudget(len(sensMutations)*ns, workers)
-	pairs, err := RunCells(len(sensMutations)*ns, workers, func(i int) (SensPair, error) {
-		m := sensMutations[i/ns]
-		s := i % ns
-		defer sw.done(s)
-		reqs := sw.requests(s, requests, seed)
-		b, err := bases[s].get(m.arch, svcs[s], reqs, sw.cache(s), sw.batchCache(s), la)
-		if err != nil {
-			return SensPair{}, err
-		}
-		v, err := runVariant(m.arch, svcs[s], reqs, m.mutate, sw.cache(s), sw.batchCache(s), la)
-		return SensPair{b, v}, err
-	})
-	if err != nil {
-		sw.abort()
+// rows); WriteSensitivity renders it. Per-service columns are
+// independent, so a subset's column is byte-identical to the same
+// service's column in a full run.
+func SensitivityStudy(svcs []*uservices.Service, requests int, seed int64, workers int) ([]SensPair, error) {
+	if err := checkRequests(requests); err != nil {
 		return nil, err
+	}
+	ns := len(svcs)
+	// Cells are laid out in rows of one cell per service, one row per
+	// ablation, each architecture's baseline row just before its first
+	// ablation row.
+	var cells []serviceCell
+	rows := 0
+	addRow := func(arch Arch, mutate func(*Options)) {
+		for s := range svcs {
+			opts := DefaultOptions()
+			if mutate != nil {
+				mutate(&opts)
+			}
+			cells = append(cells, serviceCell{svc: s, arch: arch, opts: opts})
+		}
+		rows++
+	}
+	baseRow := map[Arch]int{}
+	varRow := make([]int, len(sensMutations))
+	for sec, m := range sensMutations {
+		if _, ok := baseRow[m.arch]; !ok {
+			baseRow[m.arch] = rows
+			addRow(m.arch, nil)
+		}
+		varRow[sec] = rows
+		addRow(m.arch, m.mutate)
+	}
+	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([]SensPair, len(sensMutations)*ns)
+	for sec, m := range sensMutations {
+		for s := range svcs {
+			pairs[sec*ns+s] = SensPair{Base: res[baseRow[m.arch]*ns+s], Variant: res[varRow[sec]*ns+s]}
+		}
 	}
 	return pairs, nil
 }
 
 // WriteSensitivity renders the §V-A1 report from a precomputed grid
-// (services[s] names column s of pairs; see SensPairsOn).
+// (services[s] names column s of pairs; see SensitivityStudy).
 func WriteSensitivity(w io.Writer, services []string, pairs []SensPair) error {
 	ns := len(services)
 	pair := func(section, s int) SensPair { return pairs[section*ns+s] }

@@ -56,35 +56,28 @@ type TimingRow struct {
 	Res      []*Result
 }
 
-// TimingSweepParallel runs every (service, timing variant) RPU cell on
-// a worker pool. Variants differ only in timing knobs, so the batch
-// streams prepared for the first cell of a service are replayed by the
-// remaining seven from the cache.
-func TimingSweepParallel(suite *uservices.Suite, requests int, seed int64, workers int) ([]TimingRow, error) {
-	return TimingSweepOn(suite.Services, requests, seed, workers)
-}
-
-// TimingSweepOn is TimingSweepParallel restricted to an explicit
-// service subset: per-service rows are independent, so a subset's rows
-// are byte-identical to the same services' rows in a full-suite run.
-// The distributed worker tier executes per-service tasks through it.
-func TimingSweepOn(svcs []*uservices.Service, requests int, seed int64, workers int) ([]TimingRow, error) {
+// TimingSweep runs every (service, timing variant) RPU cell on a
+// worker pool. Variants differ only in timing knobs, so all eight
+// cells of a service share one prep signature: the batch streams the
+// first cell prepares are replayed by the other seven from the batch
+// cache. Rows are per service and independent, so a subset's rows are
+// byte-identical to the same services' rows in a full-suite run.
+func TimingSweep(svcs []*uservices.Service, requests int, seed int64, workers int) ([]TimingRow, error) {
+	if err := checkRequests(requests); err != nil {
+		return nil, err
+	}
 	variants := DefaultTimingVariants()
 	nv := len(variants)
-	sw := newSweepCaches(svcs, nv)
-	la := prepBudget(len(svcs)*nv, workers)
-	cells, err := RunCells(len(svcs)*nv, workers, func(i int) (*Result, error) {
-		s := i / nv
-		defer sw.done(s)
-		opts := DefaultOptions()
-		opts.Traces = sw.cache(s)
-		opts.BatchStreams = sw.batchCache(s)
-		opts.PrepLookahead = la
-		variants[i%nv].Mutate(&opts)
-		return RunService(ArchRPU, svcs[s], sw.requests(s, requests, seed), opts)
-	})
+	cells := make([]serviceCell, 0, len(svcs)*nv)
+	for s := range svcs {
+		for _, v := range variants {
+			opts := DefaultOptions()
+			v.Mutate(&opts)
+			cells = append(cells, serviceCell{svc: s, arch: ArchRPU, opts: opts})
+		}
+	}
+	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, workers)
 	if err != nil {
-		sw.abort()
 		return nil, err
 	}
 	names := make([]string, nv)
@@ -93,14 +86,9 @@ func TimingSweepOn(svcs []*uservices.Service, requests int, seed int64, workers 
 	}
 	rows := make([]TimingRow, len(svcs))
 	for s, svc := range svcs {
-		rows[s] = TimingRow{Service: svc.Name, Variants: names, Res: cells[s*nv : (s+1)*nv]}
+		rows[s] = TimingRow{Service: svc.Name, Variants: names, Res: res[s*nv : (s+1)*nv]}
 	}
 	return rows, nil
-}
-
-// TimingSweep is TimingSweepParallel on one worker.
-func TimingSweep(suite *uservices.Suite, requests int, seed int64) ([]TimingRow, error) {
-	return TimingSweepParallel(suite, requests, seed, 1)
 }
 
 // WriteTimingSweep renders the sweep: per variant, request latency and

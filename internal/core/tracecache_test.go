@@ -25,6 +25,7 @@ func withFreshTraces(t *testing.T, fn func()) {
 // fresh-interpretation sweep.
 func TestTraceCacheStudyDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
+	svcs := suite.Services
 	const workers = 4
 
 	t.Run("chip", func(t *testing.T) {
@@ -40,13 +41,13 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 			}
 			return buf.Bytes()
 		}
-		cached, err := ChipStudyParallel(suite, 32, 3, false, workers)
+		cached, err := ChipStudy(svcs, 32, 3, false, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var fresh []ChipRow
 		withFreshTraces(t, func() {
-			fresh, err = ChipStudyParallel(suite, 32, 3, false, workers)
+			fresh, err = ChipStudy(svcs, 32, 3, false, workers)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -57,13 +58,13 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 	})
 
 	t.Run("efficiency", func(t *testing.T) {
-		cached, err := EfficiencyStudyParallel(suite, 64, 7, workers)
+		cached, err := EfficiencyStudy(svcs, 64, 7, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var fresh []EffRow
 		withFreshTraces(t, func() {
-			fresh, err = EfficiencyStudyParallel(suite, 64, 7, workers)
+			fresh, err = EfficiencyStudy(svcs, 64, 7, workers)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -74,13 +75,13 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 	})
 
 	t.Run("mpki", func(t *testing.T) {
-		cached, err := MPKIStudyParallel(suite, 32, 3, workers)
+		cached, err := MPKIStudy(svcs, 32, 3, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var fresh []MPKIRow
 		withFreshTraces(t, func() {
-			fresh, err = MPKIStudyParallel(suite, 32, 3, workers)
+			fresh, err = MPKIStudy(svcs, 32, 3, workers)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -91,30 +92,25 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 	})
 
 	t.Run("sensitivity", func(t *testing.T) {
-		var cached, fresh bytes.Buffer
-		if err := SensitivityStudyParallel(&cached, suite, []string{"urlshort", "memc"}, 64, 3, workers); err != nil {
-			t.Fatal(err)
-		}
-		var err error
+		names := []string{"urlshort", "memc"}
+		cached := sensReport(t, suite, names, 64, 3, workers)
+		var fresh string
 		withFreshTraces(t, func() {
-			err = SensitivityStudyParallel(&fresh, suite, []string{"urlshort", "memc"}, 64, 3, workers)
+			fresh = sensReport(t, suite, names, 64, 3, workers)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached.String() != fresh.String() {
+		if cached != fresh {
 			t.Fatal("cached sensitivity report differs from fresh interpretation")
 		}
 	})
 
 	t.Run("multibatch", func(t *testing.T) {
-		cached, err := MultiBatchSweep(suite, 3, workers)
+		cached, err := MultiBatchSweep(svcs, 3, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var fresh []MultiBatchRow
 		withFreshTraces(t, func() {
-			fresh, err = MultiBatchSweep(suite, 3, workers)
+			fresh, err = MultiBatchSweep(svcs, 3, workers)
 		})
 		if err != nil {
 			t.Fatal(err)

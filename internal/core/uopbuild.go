@@ -154,18 +154,6 @@ func (b *uopBuilder) batchUops(ops []simt.BatchOp, sg *alloc.StackGroup, interle
 	return uops
 }
 
-// copyUops clones a read-only uop stream into the builder's arena so
-// the caller may mutate the copies (streams served by the batch cache
-// are cache-owned and immutable). The copies' Accesses slices keep
-// aliasing the source's address arena — they are read-only in every
-// consumer, so sharing them is safe and avoids duplicating the
-// addresses.
-func (b *uopBuilder) copyUops(src []pipeline.Uop) []pipeline.Uop {
-	dst := b.carve(len(src))
-	copy(dst, src)
-	return dst
-}
-
 // appendGranules expands one lane's access into the 4-byte words it
 // touches so the MCU sees the full footprint (an 8-byte access from
 // every lane covers a contiguous region even though lane start

@@ -62,17 +62,17 @@ func singleProcessRef(t *testing.T) []byte {
 	t.Helper()
 	suite := uservices.NewSuite()
 	get := func(names []string) []*uservices.Service {
-		svcs := make([]*uservices.Service, len(names))
-		for i, n := range names {
-			svcs[i] = suite.Get(n)
+		svcs, err := suite.Lookup(names...)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return svcs
 	}
-	chip, err := core.ChipStudyOn(get(chipSvcs), testRequests, 7, false, 1)
+	chip, err := core.ChipStudy(get(chipSvcs), testRequests, 7, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := core.SensPairsOn(get(sensSvcs), testRequests, 7, 1)
+	pairs, err := core.SensitivityStudy(get(sensSvcs), testRequests, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,5 +477,34 @@ func TestSchemaHashShape(t *testing.T) {
 	}
 	if h != SchemaHash() {
 		t.Fatal("schema hash not stable across calls")
+	}
+}
+
+// TestExecutorRejectsBadTaskFrames: a task frame naming a service the
+// worker does not know, or a spec with a non-positive request count,
+// fails the task with an error instead of panicking the worker.
+func TestExecutorRejectsBadTaskFrames(t *testing.T) {
+	spec := SweepSpec{Studies: []StudySpec{
+		{Kind: StudyChip, Services: []string{"memc"}, Requests: testRequests, Seed: 7},
+		{Kind: StudyTiming, Services: []string{"memc"}, Requests: 0, Seed: 7},
+	}}
+	e, err := newExecutor(spec, CaptureConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		task Task
+		want string
+	}{
+		{Task{ID: 0, Study: 0, Service: "nosuch"}, "unknown service"},
+		{Task{ID: 1, Study: 1, Service: "memc"}, "requests"},
+	} {
+		res, err := e.run(c.task)
+		if err != nil {
+			t.Fatalf("task %+v: %v", c.task, err)
+		}
+		if !strings.Contains(res.Err, c.want) {
+			t.Fatalf("task %+v: result error %q, want it to mention %q", c.task, res.Err, c.want)
+		}
 	}
 }

@@ -85,11 +85,6 @@ type SweepSpec struct {
 // dispatcher's driver flags to every worker, so a worker reproduces
 // the exact configuration the single-process run would use.
 type SweepConfig struct {
-	// TraceCache/BatchCache/CacheBudget mirror the drivers'
-	// -tracecache/-batchcache/-cachebudget flags.
-	TraceCache  bool
-	BatchCache  bool
-	CacheBudget int64
 	// Lookahead pins the prep-pipeline lookahead (-1 = automatic).
 	Lookahead int
 	// Sample is the sampling config in -sample flag syntax.
@@ -108,9 +103,6 @@ type SweepConfig struct {
 // the driver's flags) into a SweepConfig for dispatch.
 func CaptureConfig(metrics bool) SweepConfig {
 	return SweepConfig{
-		TraceCache:  core.TraceCaching(),
-		BatchCache:  core.BatchCaching(),
-		CacheBudget: core.CacheBudget(),
 		Lookahead:   core.PrepLookaheadOverride(),
 		Sample:      sample.Default().String(),
 		Metrics:     metrics,
@@ -120,9 +112,6 @@ func CaptureConfig(metrics bool) SweepConfig {
 
 // apply installs the config's knobs process-globally (worker side).
 func (c SweepConfig) apply() error {
-	core.SetTraceCaching(c.TraceCache)
-	core.SetBatchCaching(c.BatchCache)
-	core.SetCacheBudget(c.CacheBudget)
 	core.SetPrepLookahead(c.Lookahead)
 	sc, err := sample.Parse(c.Sample)
 	if err != nil {
@@ -177,23 +166,19 @@ func (st *StudySpec) resolveServices(suite *uservices.Suite) []string {
 }
 
 // Tasks expands the spec into its ordered task list, validating every
-// service name against the suite (Suite.Get panics on unknown names,
-// so remote input is checked here first).
+// service name against the suite.
 func (spec *SweepSpec) Tasks(suite *uservices.Suite) ([]Task, error) {
 	if len(spec.Studies) == 0 {
 		return nil, errors.New("dist: sweep has no studies")
 	}
-	known := map[string]bool{}
-	for _, n := range suite.Names() {
-		known[n] = true
-	}
 	var ts []Task
 	for si := range spec.Studies {
 		st := &spec.Studies[si]
-		for _, name := range st.resolveServices(suite) {
-			if !known[name] {
-				return nil, fmt.Errorf("dist: study %d (%s): unknown service %q", si, st.Kind, name)
-			}
+		names := st.resolveServices(suite)
+		if _, err := suite.Lookup(names...); err != nil {
+			return nil, fmt.Errorf("dist: study %d (%s): %w", si, st.Kind, err)
+		}
+		for _, name := range names {
 			ts = append(ts, Task{ID: len(ts), Study: si, Service: name})
 		}
 	}
@@ -228,8 +213,12 @@ func (e *executor) run(t Task) (TaskResult, error) {
 		return TaskResult{}, fmt.Errorf("dist: task %d references study %d of %d", t.ID, t.Study, len(e.spec.Studies))
 	}
 	st := &e.spec.Studies[t.Study]
-	svcs := []*uservices.Service{e.suite.Get(t.Service)}
 	res := TaskResult{ID: t.ID}
+	svcs, err := e.suite.Lookup(t.Service)
+	if err != nil {
+		res.Err = err.Error()
+		return res, nil
+	}
 
 	// Per-task metrics: swap in a fresh registry for the duration of
 	// the task. Probes resolve instruments per study call, so the whole
@@ -244,33 +233,32 @@ func (e *executor) run(t Task) (TaskResult, error) {
 	}
 
 	w := e.cfg.taskWorkers()
-	var err error
 	switch st.Kind {
 	case StudyChip:
 		var rows []core.ChipRow
-		if rows, err = core.ChipStudyOn(svcs, st.Requests, st.Seed, st.WithGPU, w); err == nil {
+		if rows, err = core.ChipStudy(svcs, st.Requests, st.Seed, st.WithGPU, w); err == nil {
 			res.Chip = &rows[0]
 		}
 	case StudySensitivity:
-		res.Sens, err = core.SensPairsOn(svcs, st.Requests, st.Seed, w)
+		res.Sens, err = core.SensitivityStudy(svcs, st.Requests, st.Seed, w)
 	case StudyEfficiency:
 		var rows []core.EffRow
-		if rows, err = core.EfficiencyStudyOn(svcs, st.Requests, st.Seed, w); err == nil {
+		if rows, err = core.EfficiencyStudy(svcs, st.Requests, st.Seed, w); err == nil {
 			res.Eff = &rows[0]
 		}
 	case StudyMPKI:
 		var rows []core.MPKIRow
-		if rows, err = core.MPKIStudyOn(svcs, st.Requests, st.Seed, w); err == nil {
+		if rows, err = core.MPKIStudy(svcs, st.Requests, st.Seed, w); err == nil {
 			res.MPKI = &rows[0]
 		}
 	case StudyTiming:
 		var rows []core.TimingRow
-		if rows, err = core.TimingSweepOn(svcs, st.Requests, st.Seed, w); err == nil {
+		if rows, err = core.TimingSweep(svcs, st.Requests, st.Seed, w); err == nil {
 			res.Timing = &rows[0]
 		}
 	case StudyMultiBatch:
 		var rows []core.MultiBatchRow
-		if rows, err = core.MultiBatchSweepOn(svcs, st.Seed, w); err == nil {
+		if rows, err = core.MultiBatchSweep(svcs, st.Seed, w); err == nil {
 			res.Multi = &rows[0]
 		}
 	default:

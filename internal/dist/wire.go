@@ -5,7 +5,7 @@
 //
 // The unit of distribution is one (study, service) task: a worker
 // executes the task through the same per-service study code the
-// single-process drivers use (core.ChipStudyOn and friends), so the
+// single-process drivers use (core.ChipStudy and friends), so the
 // whole single-process stack — RunCells, the prep pipeline, the
 // scalar-trace and batch-stream caches, sampled simulation — is reused
 // and prep is amortised worker-locally. Per-service study rows are

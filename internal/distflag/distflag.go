@@ -1,5 +1,5 @@
 // Package distflag wires the distributed-sweep flag set into the cmd
-// drivers, following the cacheflag/obsflag pattern:
+// drivers, following the obsflag/sampleflag pattern:
 //
 //	-dist worker     -addr HOST:PORT   join a dispatcher and execute tasks
 //	-dist dispatcher -addr HOST:PORT   serve the driver's sweep to workers

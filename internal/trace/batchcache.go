@@ -42,13 +42,12 @@ const uopBytes = int64(unsafe.Sizeof(pipeline.Uop{}))
 // (the BatchStream header plus map/entry bookkeeping, rounded up).
 const batchStreamBytes = int64(unsafe.Sizeof(BatchStream{})) + 128
 
-// Key tags distinguish the stream families sharing one cache so a batch
-// stream and an SMT merge of the same requests can never collide.
+// Key tags distinguish the stream families sharing one cache so a full
+// batch stream and a count-only stream of the same requests can never
+// collide.
 const (
 	// KeyBatch marks an RPU/GPU lock-step batch stream.
 	KeyBatch byte = 'B'
-	// KeySMT marks an SMT round-robin merge of scalar streams.
-	KeySMT byte = 'S'
 	// KeyEff marks a count-only stream (ScalarOps/BatchOps/Requests,
 	// empty Uops) from the batching-policy efficiency study. The tag
 	// keeps count-only entries from ever being served where a full uop
@@ -71,7 +70,7 @@ type BatchStream struct {
 	// into the stream (the SIMT-efficiency numerator).
 	ScalarOps int
 	// BatchOps is the merged batch-op count (the efficiency
-	// denominator's per-batch factor); zero for SMT merges.
+	// denominator's per-batch factor).
 	BatchOps int
 	// Requests is the number of requests the stream serves.
 	Requests int

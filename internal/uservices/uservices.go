@@ -140,13 +140,33 @@ type Suite struct {
 	byName   map[string]*Service
 }
 
-// Get returns a service by name.
-func (s *Suite) Get(name string) *Service {
-	svc, ok := s.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("uservices: unknown service %q", name))
+// Lookup returns the named services in the given order, or every
+// service in canonical order when no name is given. Names that come
+// from outside the program (flags, wire frames) go through Lookup, so
+// an unknown name is an error rather than a panic.
+func (s *Suite) Lookup(names ...string) ([]*Service, error) {
+	if len(names) == 0 {
+		return s.Services, nil
 	}
-	return svc
+	svcs := make([]*Service, len(names))
+	for i, name := range names {
+		svc, ok := s.byName[name]
+		if !ok {
+			return nil, fmt.Errorf("uservices: unknown service %q", name)
+		}
+		svcs[i] = svc
+	}
+	return svcs, nil
+}
+
+// Get returns a service by name and panics on an unknown one; use it
+// only for names fixed in the program.
+func (s *Suite) Get(name string) *Service {
+	svcs, err := s.Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	return svcs[0]
 }
 
 // Names lists the services in canonical (paper Figure) order.

@@ -263,3 +263,24 @@ func TestQuickArgSizeLengthCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLookupUnknownServiceErrors: names from flags and wire frames go
+// through Lookup, which must report an unknown name as an error (Get
+// panics on one) and otherwise keep the caller's order.
+func TestLookupUnknownServiceErrors(t *testing.T) {
+	suite := NewSuite()
+	if _, err := suite.Lookup("memc", "nosuch"); err == nil {
+		t.Fatal("Lookup of an unknown service returned no error")
+	}
+	svcs, err := suite.Lookup("user", "memc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svcs[0].Name != "user" || svcs[1].Name != "memc" {
+		t.Fatalf("Lookup reordered services: %s, %s", svcs[0].Name, svcs[1].Name)
+	}
+	all, err := suite.Lookup()
+	if err != nil || len(all) != len(suite.Services) {
+		t.Fatalf("Lookup() = %d services, %v; want the whole suite", len(all), err)
+	}
+}

@@ -60,6 +60,8 @@ type (
 	EffRow = core.EffRow
 	// MPKIRow is one service's L1 MPKI per configuration.
 	MPKIRow = core.MPKIRow
+	// SensPair is one sensitivity ablation's (baseline, variant) runs.
+	SensPair = core.SensPair
 	// SystemConfig parameterises the end-to-end queueing scenario.
 	SystemConfig = queuesim.Config
 	// SystemMetrics is one load point's outcome.
@@ -86,24 +88,6 @@ const PrepAuto = core.PrepAuto
 // uses (n >= 0), or restores automatic derivation (n < 0). Results are
 // byte-identical at any value; only wall-clock changes.
 func SetPrepLookahead(n int) { core.SetPrepLookahead(n) }
-
-// SetTraceCaching toggles the sweep-wide scalar per-request trace
-// cache the parallel studies consult (default on). Results are
-// byte-identical either way; only wall-clock changes.
-func SetTraceCaching(on bool) { core.SetTraceCaching(on) }
-
-// SetBatchCaching toggles the sweep-wide batch-stream cache that
-// memoizes the post-merge prep product — merged uop streams, MCU
-// deltas and op counts — across the sweep cells that share a workload
-// (default on). Results are byte-identical either way; only
-// wall-clock changes.
-func SetBatchCaching(on bool) { core.SetBatchCaching(on) }
-
-// SetCacheBudget caps the bytes the scalar and batch prep caches may
-// retain per sweep, shared across both; bytes <= 0 restores the
-// default (512 MiB). Over-budget builds are returned uncached, so the
-// budget bounds memory without changing results.
-func SetCacheBudget(bytes int64) { core.SetCacheBudget(bytes) }
 
 // Re-exported sampled-simulation types (see internal/sample).
 type (
@@ -153,25 +137,37 @@ func RunService(arch Arch, svc *Service, reqs []Request, opts Options) (*Result,
 }
 
 // EfficiencyStudy reproduces Figures 4/11 (SIMT efficiency per
-// batching policy).
-func EfficiencyStudy(suite *Suite, requests int, seed int64) ([]EffRow, error) {
-	return core.EfficiencyStudy(suite, requests, seed)
+// batching policy) for the given services on a worker pool (workers
+// <= 0 uses DefaultWorkers, 1 runs sequentially). Rows are identical
+// at any worker count.
+func EfficiencyStudy(svcs []*Service, requests int, seed int64, workers int) ([]EffRow, error) {
+	return core.EfficiencyStudy(svcs, requests, seed, workers)
 }
 
 // ChipStudy reproduces the chip-level comparison behind Figures 10,
-// 14, 19, 20 and 21.
-func ChipStudy(suite *Suite, requests int, seed int64, withGPU bool) ([]ChipRow, error) {
-	return core.ChipStudy(suite, requests, seed, withGPU)
+// 14, 19, 20 and 21 for the given services on a worker pool. Rows are
+// identical at any worker count.
+func ChipStudy(svcs []*Service, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
+	return core.ChipStudy(svcs, requests, seed, withGPU, workers)
 }
 
-// MPKIStudy reproduces Figure 15 (L1 MPKI by batch size).
-func MPKIStudy(suite *Suite, requests int, seed int64) ([]MPKIRow, error) {
-	return core.MPKIStudy(suite, requests, seed)
+// MPKIStudy reproduces Figure 15 (L1 MPKI by batch size) for the given
+// services on a worker pool. Rows are identical at any worker count.
+func MPKIStudy(svcs []*Service, requests int, seed int64, workers int) ([]MPKIRow, error) {
+	return core.MPKIStudy(svcs, requests, seed, workers)
 }
 
-// SensitivityStudy runs the §V-A1 ablations and writes the report.
-func SensitivityStudy(w io.Writer, suite *Suite, services []string, requests int, seed int64) error {
-	return core.SensitivityStudy(w, suite, services, requests, seed)
+// SensitivityStudy runs the §V-A1 ablations for the given services on
+// a worker pool and returns the (baseline, variant) grid that
+// WriteSensitivity renders.
+func SensitivityStudy(svcs []*Service, requests int, seed int64, workers int) ([]SensPair, error) {
+	return core.SensitivityStudy(svcs, requests, seed, workers)
+}
+
+// WriteSensitivity renders the §V-A1 report; services names the
+// grid's columns in study order.
+func WriteSensitivity(w io.Writer, services []string, pairs []SensPair) error {
+	return core.WriteSensitivity(w, services, pairs)
 }
 
 // DefaultWorkers is the worker count the parallel studies use when
@@ -184,30 +180,6 @@ func DefaultWorkers() int { return core.DefaultWorkers() }
 // DefaultWorkers.
 func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	return core.RunCells(n, workers, fn)
-}
-
-// EfficiencyStudyParallel is EfficiencyStudy on a worker pool. Rows
-// are identical to the sequential study for the same seed.
-func EfficiencyStudyParallel(suite *Suite, requests int, seed int64, workers int) ([]EffRow, error) {
-	return core.EfficiencyStudyParallel(suite, requests, seed, workers)
-}
-
-// ChipStudyParallel is ChipStudy on a worker pool. Rows are identical
-// to the sequential study for the same seed.
-func ChipStudyParallel(suite *Suite, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
-	return core.ChipStudyParallel(suite, requests, seed, withGPU, workers)
-}
-
-// MPKIStudyParallel is MPKIStudy on a worker pool. Rows are identical
-// to the sequential study for the same seed.
-func MPKIStudyParallel(suite *Suite, requests int, seed int64, workers int) ([]MPKIRow, error) {
-	return core.MPKIStudyParallel(suite, requests, seed, workers)
-}
-
-// SensitivityStudyParallel is SensitivityStudy on a worker pool; the
-// report text is identical to the sequential study for the same seed.
-func SensitivityStudyParallel(w io.Writer, suite *Suite, services []string, requests int, seed int64, workers int) error {
-	return core.SensitivityStudyParallel(w, suite, services, requests, seed, workers)
 }
 
 // BatchSweepRow is one RPU batch-size point of a batch-tuning sweep.
@@ -223,10 +195,10 @@ func BatchSweep(svc *Service, reqs []Request, sizes []int, workers int) (*Result
 // measurement.
 type MultiBatchRow = core.MultiBatchRow
 
-// MultiBatchSweep runs MultiBatchStudy for every service on a worker
-// pool.
-func MultiBatchSweep(suite *Suite, seed int64, workers int) ([]MultiBatchRow, error) {
-	return core.MultiBatchSweep(suite, seed, workers)
+// MultiBatchSweep runs MultiBatchStudy for every given service on a
+// worker pool.
+func MultiBatchSweep(svcs []*Service, seed int64, workers int) ([]MultiBatchRow, error) {
+	return core.MultiBatchSweep(svcs, seed, workers)
 }
 
 // TimingVariant is one timing-only RPU design point of a timing sweep.
@@ -241,16 +213,10 @@ type TimingRow = core.TimingRow
 // per batch.
 func DefaultTimingVariants() []TimingVariant { return core.DefaultTimingVariants() }
 
-// TimingSweep runs every service through the timing-variant grid
-// sequentially.
-func TimingSweep(suite *Suite, requests int, seed int64) ([]TimingRow, error) {
-	return core.TimingSweep(suite, requests, seed)
-}
-
-// TimingSweepParallel is TimingSweep on a worker pool. Rows are
-// identical to the sequential sweep for the same seed.
-func TimingSweepParallel(suite *Suite, requests int, seed int64, workers int) ([]TimingRow, error) {
-	return core.TimingSweepParallel(suite, requests, seed, workers)
+// TimingSweep runs the given services through the timing-variant
+// grid on a worker pool. Rows are identical at any worker count.
+func TimingSweep(svcs []*Service, requests int, seed int64, workers int) ([]TimingRow, error) {
+	return core.TimingSweep(svcs, requests, seed, workers)
 }
 
 // WriteTimingSweep renders the timing-variant report (per-variant

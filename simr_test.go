@@ -31,7 +31,7 @@ func TestFacadeQuickstart(t *testing.T) {
 
 func TestFacadeEfficiencyStudy(t *testing.T) {
 	suite := NewSuite()
-	rows, err := EfficiencyStudy(suite, 128, 7)
+	rows, err := EfficiencyStudy(suite.Services, 128, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,16 @@ func TestFacadeSystemSim(t *testing.T) {
 
 func TestFacadeSensitivity(t *testing.T) {
 	suite := NewSuite()
+	svcs, err := suite.Lookup("urlshort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := SensitivityStudy(svcs, 64, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	if err := SensitivityStudy(&sb, suite, []string{"urlshort"}, 64, 3); err != nil {
+	if err := WriteSensitivity(&sb, []string{"urlshort"}, pairs); err != nil {
 		t.Fatal(err)
 	}
 	if len(sb.String()) == 0 {
@@ -67,7 +75,7 @@ func TestFacadeSensitivity(t *testing.T) {
 
 func TestFacadeChipAndMPKI(t *testing.T) {
 	suite := NewSuite()
-	rows, err := ChipStudy(suite, 32, 3, false)
+	rows, err := ChipStudy(suite.Services, 32, 3, false, 1)
 	if err != nil || len(rows) != 15 {
 		t.Fatalf("chip study: %v, %d rows", err, len(rows))
 	}
@@ -78,7 +86,7 @@ func TestFacadeChipAndMPKI(t *testing.T) {
 	if len(sb.String()) == 0 {
 		t.Fatal("empty JSON")
 	}
-	mrows, err := MPKIStudy(suite, 32, 3)
+	mrows, err := MPKIStudy(suite.Services, 32, 3, 1)
 	if err != nil || len(mrows) != 15 {
 		t.Fatalf("mpki study: %v, %d rows", err, len(mrows))
 	}
