@@ -720,10 +720,10 @@ func benchQueuesim(seconds float64, seed int64, workers int, sched queuesim.Sche
 			Arrived: m.Arrived, Completed: m.Completed, Failed: m.Failed,
 			TimedOut: m.TimedOut, Rejected: m.Rejected,
 			P50: m.Latency.Percentile(50), P99: m.Latency.Percentile(99),
-			P999: m.Latency.Percentile(99.9),
+			P999:        m.Latency.Percentile(99.9),
 			InFlightHWM: m.InFlightHWM, Events: m.Events,
 			CancelledTimers: m.CancelledTimers, WallSec: wall,
-			EventsPerSec:    float64(m.Events) / wall,
+			EventsPerSec: float64(m.Events) / wall,
 		}, nil
 	})
 	if err != nil {

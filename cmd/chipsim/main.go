@@ -9,6 +9,8 @@
 //	-fig 21   latency-component metrics
 //	-table 4  simulated configurations (Table IV)
 //	-table 5  per-component area and peak power (Table V)
+//	-table 6  GPU vs RPU terminology (Table VI)
+//	-table 7  SIMR vs previous SIMT work (Table VII)
 //	-sensitivity   §V-A1 ablations
 //	-timing   RPU timing-knob sweep (lanes x vote x atomics placement)
 //
@@ -19,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -40,7 +43,7 @@ func main() {
 	requests := flag.Int("requests", core.DefaultRequests, "requests per service (paper: 2400)")
 	seed := flag.Int64("seed", 42, "workload random seed")
 	fig := flag.Int("fig", 0, "print a single figure (10, 14, 15, 19, 20, 21)")
-	table := flag.Int("table", 0, "print a table (4 or 5)")
+	table := flag.Int("table", 0, "print a table (4, 5, 6 or 7)")
 	sensitivity := flag.Bool("sensitivity", false, "run the sensitivity ablations")
 	ispc := flag.Bool("ispc", false, "run the §VI-A SPMD-on-SIMD (ISPC) comparison")
 	multiproc := flag.Bool("multiprocess", false, "run the §VI-B multi-process divergence study")
@@ -57,6 +60,10 @@ func main() {
 	sampleFlags := sampleflag.Add(flag.CommandLine)
 	distFlags := distflag.Add(flag.CommandLine)
 	flag.Parse()
+	if err := checkFlags(*fig, *table, *parallel, *lookahead); err != nil {
+		fmt.Fprintln(os.Stderr, "chipsim:", err)
+		os.Exit(2)
+	}
 	core.SetPrepLookahead(*lookahead)
 	if _, err := sampleFlags.Setup(); err != nil {
 		log.Fatal(err)
@@ -100,21 +107,8 @@ func main() {
 
 	suite := uservices.NewSuite()
 
-	if *table == 4 {
-		printTable4()
-		return
-	}
-	if *table == 5 {
-		fmt.Println("Table V: per-component area and peak power (7 nm, McPAT-derived)")
-		energy.WriteTableV(os.Stdout)
-		return
-	}
-	if *table == 6 {
-		printTable6()
-		return
-	}
-	if *table == 7 {
-		printTable7()
+	if print := tables[*table]; print != nil {
+		print()
 		return
 	}
 	if distFlags.Active() && (*ispc || *multiproc) {
@@ -235,34 +229,65 @@ func main() {
 		}
 		return
 	}
-	show := func(n int) bool { return *fig == 0 || *fig == n }
-	if show(10) {
-		fmt.Println("Figure 10: CPU dynamic energy breakdown per pipeline stage")
-		core.WriteFig10(os.Stdout, rows)
-		fmt.Println()
-	}
-	if show(14) {
-		fmt.Println("Figure 14: RPU L1 accesses normalized to CPU (640 threads each)")
-		core.WriteFig14(os.Stdout, rows)
-		fmt.Println()
-	}
-	if show(19) {
-		fmt.Println("Figure 19: energy efficiency (requests/joule) relative to CPU")
-		core.WriteFig19(os.Stdout, rows)
-		fmt.Println()
-	}
-	if show(20) {
-		fmt.Println("Figure 20: service latency relative to CPU")
-		core.WriteFig20(os.Stdout, rows)
-		fmt.Println()
-	}
-	if show(21) {
-		fmt.Println("Figure 21: latency-component metrics (RPU relative to CPU)")
-		core.WriteFig21(os.Stdout, rows)
+	for i, f := range chipFigs {
+		if *fig == 0 || *fig == f.n {
+			fmt.Println(f.title)
+			f.write(os.Stdout, rows)
+			if i < len(chipFigs)-1 {
+				fmt.Println()
+			}
+		}
 	}
 	// Prints nothing unless the study ran sampled (Period > 1), so
 	// default output is unchanged.
 	core.WriteSampling(os.Stdout, rows)
+}
+
+// chipFigs are the chip-study figures, in print order.
+var chipFigs = []struct {
+	n     int
+	title string
+	write func(io.Writer, []core.ChipRow)
+}{
+	{10, "Figure 10: CPU dynamic energy breakdown per pipeline stage", core.WriteFig10},
+	{14, "Figure 14: RPU L1 accesses normalized to CPU (640 threads each)", core.WriteFig14},
+	{19, "Figure 19: energy efficiency (requests/joule) relative to CPU", core.WriteFig19},
+	{20, "Figure 20: service latency relative to CPU", core.WriteFig20},
+	{21, "Figure 21: latency-component metrics (RPU relative to CPU)", core.WriteFig21},
+}
+
+// tables maps each -table value to its printer.
+var tables = map[int]func(){
+	4: printTable4,
+	5: func() {
+		fmt.Println("Table V: per-component area and peak power (7 nm, McPAT-derived)")
+		energy.WriteTableV(os.Stdout)
+	},
+	6: printTable6,
+	7: printTable7,
+}
+
+// checkFlags rejects selector and sizing values chipsim gives no
+// meaning to, so a typo fails fast instead of running a study that
+// prints nothing or the wrong thing.
+func checkFlags(fig, table, parallel, lookahead int) error {
+	known := fig == 0 || fig == 15 // 15 is the MPKI study's
+	for _, f := range chipFigs {
+		known = known || f.n == fig
+	}
+	if !known {
+		return fmt.Errorf("-fig %d: want 10, 14, 15, 19, 20 or 21 (0 prints every chip figure)", fig)
+	}
+	if _, ok := tables[table]; table != 0 && !ok {
+		return fmt.Errorf("-table %d: want 4, 5, 6 or 7", table)
+	}
+	if parallel < 0 {
+		return fmt.Errorf("-parallel %d: want 0 (one worker per CPU) or more", parallel)
+	}
+	if lookahead < core.PrepAuto {
+		return fmt.Errorf("-lookahead %d: want %d (auto) or more", lookahead, core.PrepAuto)
+	}
+	return nil
 }
 
 // runISPC prints the §VI-A study: one request per AVX lane on the CPU

@@ -292,16 +292,16 @@ func checkQueuesim(path string) error {
 		// switch; present values must name a real scheduler.
 		Scheduler string `json:"scheduler"`
 		Points    []struct {
-			Mode         string  `json:"mode"`
-			QPS          float64 `json:"qps"`
-			Arrived      int     `json:"arrived"`
-			Completed    int     `json:"completed"`
-			Failed       int     `json:"failed"`
-			TimedOut     int     `json:"timed_out"`
-			Rejected     int     `json:"rejected"`
-			P50          float64 `json:"p50_ms"`
-			P99          float64 `json:"p99_ms"`
-			P999         float64 `json:"p999_ms"`
+			Mode            string  `json:"mode"`
+			QPS             float64 `json:"qps"`
+			Arrived         int     `json:"arrived"`
+			Completed       int     `json:"completed"`
+			Failed          int     `json:"failed"`
+			TimedOut        int     `json:"timed_out"`
+			Rejected        int     `json:"rejected"`
+			P50             float64 `json:"p50_ms"`
+			P99             float64 `json:"p99_ms"`
+			P999            float64 `json:"p999_ms"`
 			InFlightHWM     int     `json:"inflight_hwm"`
 			Events          uint64  `json:"events"`
 			CancelledTimers uint64  `json:"cancelled_timers"`

@@ -102,7 +102,7 @@ func main() {
 		}
 		tc := tailSweepConfig{
 			seconds: *seconds, seed: *seed, scale: *scale, drain: *drain,
-			legacy:  *legacy, sched: sched,
+			legacy: *legacy, sched: sched,
 			arrivals: queuesim.ArrivalConfig{
 				Process: queuesim.ParseArrivalProcess(*arrivals),
 				Users:   *users, ThinkMs: *think,

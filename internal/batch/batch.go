@@ -5,6 +5,8 @@
 package batch
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"simr/internal/uservices"
@@ -89,7 +91,7 @@ func Form(reqs []uservices.Request, size int, p Policy) []Batch {
 	type bucket struct {
 		key   string
 		first int
-		reqs  []uservices.Request
+		idx   []int // indices into reqs, in arrival order
 	}
 	order := map[string]*bucket{}
 	var buckets []*bucket
@@ -101,24 +103,28 @@ func Form(reqs []uservices.Request, size int, p Policy) []Batch {
 			order[k] = b
 			buckets = append(buckets, b)
 		}
-		b.reqs = append(b.reqs, reqs[i])
+		b.idx = append(b.idx, i)
 	}
 	sort.Slice(buckets, func(i, j int) bool { return buckets[i].first < buckets[j].first })
-	if p == PerAPIArgSize {
-		for _, b := range buckets {
-			rs := b.reqs
-			sort.SliceStable(rs, func(i, j int) bool { return rs[i].ArgBytes < rs[j].ArgBytes })
-		}
-	}
 
 	var out []Batch
 	for _, b := range buckets {
-		for off := 0; off < len(b.reqs); off += size {
+		if p == PerAPIArgSize {
+			// Stable in argument size: ties keep arrival order.
+			slices.SortFunc(b.idx, func(i, j int) int {
+				return cmp.Or(cmp.Compare(reqs[i].ArgBytes, reqs[j].ArgBytes), cmp.Compare(i, j))
+			})
+		}
+		rs := make([]uservices.Request, len(b.idx))
+		for k, i := range b.idx {
+			rs[k] = reqs[i]
+		}
+		for off := 0; off < len(rs); off += size {
 			end := off + size
-			if end > len(b.reqs) {
-				end = len(b.reqs)
+			if end > len(rs) {
+				end = len(rs)
 			}
-			out = append(out, Batch{Requests: b.reqs[off:end], Key: b.key})
+			out = append(out, Batch{Requests: rs[off:end], Key: b.key})
 		}
 	}
 	return out

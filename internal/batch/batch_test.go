@@ -80,8 +80,13 @@ func TestPerAPIArgSizeSorted(t *testing.T) {
 	reqs := mkReqs(200)
 	for _, b := range Form(reqs, 32, PerAPIArgSize) {
 		for i := 1; i < len(b.Requests); i++ {
-			if b.Requests[i].ArgBytes < b.Requests[i-1].ArgBytes {
+			prev, cur := &b.Requests[i-1], &b.Requests[i]
+			if cur.ArgBytes < prev.ArgBytes {
 				t.Fatal("argument sizes not sorted within batch")
+			}
+			// mkReqs seeds each request with its arrival index.
+			if cur.ArgBytes == prev.ArgBytes && cur.Seed < prev.Seed {
+				t.Fatal("equal argument sizes out of arrival order")
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"simr/internal/alloc"
 	"simr/internal/batch"
 	"simr/internal/energy"
-	"simr/internal/isa"
 	"simr/internal/mem"
 	"simr/internal/pipeline"
 	"simr/internal/sample"
@@ -42,10 +41,10 @@ type Options struct {
 	// L1 (Table III ablation: prefetchers are ineffective on
 	// microservice heaps).
 	CPUPrefetch bool
-	// Traces optionally supplies the sweep's shared scalar-trace cache
-	// (see internal/trace); nil interprets every request fresh. Results
-	// are byte-identical either way.
-	Traces *trace.Cache
+	// Traces optionally supplies the cell's planned reads of the sweep's
+	// shared scalar-trace cache (see internal/trace); nil interprets
+	// every request fresh. Results are byte-identical either way.
+	Traces *trace.Reads
 	// BatchStreams optionally supplies the sweep's shared batch-stream
 	// cache memoizing the post-merge preparation product (merged uop
 	// stream + MCU delta + op counts) of RPU/GPU runs across cells that
@@ -142,25 +141,6 @@ func (r *Result) L1MPKI() float64 {
 	return r.Stats.Mem.L1.MPKI(r.Stats.ScalarOps)
 }
 
-// scalarTrace fetches one request's scalar trace through the sweep's
-// cache when the options carry one, interpreting fresh otherwise.
-func scalarTrace(tc *trace.Cache, svc *uservices.Service, req *uservices.Request, tid int, stackBase uint64, policy alloc.Policy, banks int) ([]isa.TraceOp, error) {
-	if tc != nil {
-		return tc.Request(req, tid, stackBase, policy, lineBytes, banks)
-	}
-	arena := alloc.NewArena(tid, policy, lineBytes, banks)
-	return svc.Trace(req, tid, stackBase, arena)
-}
-
-// batchTraces fetches a batch's traces through the cache (nil-safe) or
-// the service's fresh interpreter.
-func batchTraces(tc *trace.Cache, svc *uservices.Service, reqs []uservices.Request, sg *alloc.StackGroup, policy alloc.Policy, banks int) ([][]isa.TraceOp, error) {
-	if tc != nil {
-		return tc.Batch(svc, reqs, sg, policy, lineBytes, banks)
-	}
-	return svc.TraceBatch(reqs, sg, policy, lineBytes, banks)
-}
-
 // batchSize resolves the options' batch size for svc (0 = tuned).
 func (o *Options) batchSize(svc *uservices.Service) int {
 	if o.BatchSize > 0 {
@@ -191,6 +171,34 @@ func prepSignature(arch Arch, svc *uservices.Service, opts *Options) []byte {
 		return nil
 	}
 	return batchKey(nil, nil, opts.batchSize(svc), opts, MemConfig(arch).L1.Banks)
+}
+
+// planRun enumerates into p the scalar-trace reads RunService(arch, svc,
+// reqs, *opts) will make, in read-position order: request i for the CPU
+// and SMT-8 runs, and the concatenation of the formed batches for
+// RPU/GPU. Units the run's sampler skips are never read.
+func planRun(p *trace.Plan, arch Arch, svc *uservices.Service, reqs []uservices.Request, opts *Options) {
+	cfg := opts.sampleConfig()
+	switch arch {
+	case ArchCPU:
+		sg := alloc.NewStackGroup(0, 1, false)
+		for i := range reqs {
+			p.Read(prepared(cfg, len(reqs), i), &reqs[i], 0, sg.StackBase(0), alloc.PolicyCPU, lineBytes, 1)
+		}
+	case ArchSMT8:
+		sg := alloc.NewStackGroup(0, 8, false)
+		groups := (len(reqs) + 7) / 8
+		for i := range reqs {
+			p.Read(prepared(cfg, groups, i/8), &reqs[i], i%8, sg.StackBase(i%8), alloc.PolicyCPU, lineBytes, 1)
+		}
+	case ArchRPU, ArchGPU:
+		size, banks := opts.batchSize(svc), MemConfig(arch).L1.Banks
+		batches := batch.Form(reqs, size, opts.Policy)
+		for b, bt := range batches {
+			p.Batch(prepared(cfg, len(batches), b), bt.Requests, opts.AllocPolicy, lineBytes, banks,
+				func(dst []byte) []byte { return batchKey(dst, bt.Requests, size, opts, banks) })
+		}
+	}
 }
 
 // RunService executes the requests on one core of the architecture and
@@ -239,18 +247,25 @@ func runScalar(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts
 	sg := alloc.NewStackGroup(0, 1, false)
 	la := opts.lookahead()
 	sp := newRunSampler(opts.sampleConfig(), len(reqs), len(reqs))
-	slots := make([]uopBuilder, la+1)
+	type cpuSlot struct {
+		in *trace.Interp
+		ub uopBuilder
+	}
+	slots := make([]cpuSlot, la+1)
+	for i := range slots {
+		slots[i].in = trace.NewInterp(svc, opts.Traces)
+	}
 	prepped := make([][]pipeline.Uop, la+1)
 	err := pipelined(sp.unitCount(len(reqs)), la,
 		func(slot, k int) error {
 			i := sp.unit(k)
-			tr, err := scalarTrace(opts.Traces, svc, &reqs[i], 0, sg.StackBase(0), alloc.PolicyCPU, 1)
+			sl := &slots[slot]
+			tr, err := sl.in.Trace(i, &reqs[i], 0, sg.StackBase(0), alloc.PolicyCPU, lineBytes, 1)
 			if err != nil {
 				return err
 			}
-			ub := &slots[slot]
-			ub.reset()
-			prepped[slot] = ub.scalarUops(tr, 0)
+			sl.ub.reset()
+			prepped[slot] = sl.ub.scalarUops(tr, 0)
 			return nil
 		},
 		func(slot, k int) {
@@ -294,6 +309,7 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 	// stream stays valid until the timing core has consumed it.
 	la := opts.lookahead()
 	type smtSlot struct {
+		in      *trace.Interp
 		ub      uopBuilder
 		streams [][]pipeline.Uop
 		uops    []pipeline.Uop
@@ -301,6 +317,9 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 	}
 	sp := newRunSampler(opts.sampleConfig(), groups, len(reqs))
 	slots := make([]smtSlot, la+1)
+	for i := range slots {
+		slots[i].in = trace.NewInterp(svc, opts.Traces)
+	}
 	err := pipelined(sp.unitCount(groups), la,
 		func(slot, k int) error {
 			g := sp.unit(k)
@@ -314,7 +333,7 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 			sl.ub.reset()
 			sl.streams = sl.streams[:0]
 			for t := range group {
-				tr, err := scalarTrace(opts.Traces, svc, &group[t], t, sg.StackBase(t), alloc.PolicyCPU, 1)
+				tr, err := sl.in.Trace(off+t, &group[t], t, sg.StackBase(t), alloc.PolicyCPU, lineBytes, 1)
 				if err != nil {
 					return err
 				}
@@ -370,6 +389,11 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 
 	batches := batch.Form(reqs, size, opts.Policy)
 	res.Batches = len(batches)
+	// pos[b] is the read position of batch b's first request.
+	pos := make([]int, len(batches))
+	for b := 1; b < len(batches); b++ {
+		pos[b] = pos[b-1] + len(batches[b-1].Requests)
+	}
 
 	// Preparation — trace fetch, lock-step merge, uop build — is pure:
 	// it writes only the slot's scratch objects and a per-batch
@@ -385,10 +409,11 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 	totalScalar, totalBatchOps := 0, 0
 	la := opts.lookahead()
 	type rpuSlot struct {
+		in     *trace.Interp
 		ub     uopBuilder
 		sc     simt.Scratch
 		key    []byte
-		batch  *batch.Batch
+		b      int
 		local  trace.BatchStream
 		stream *trace.BatchStream
 		build  func() (*trace.BatchStream, error)
@@ -397,10 +422,11 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 	slots := make([]rpuSlot, la+1)
 	for i := range slots {
 		sl := &slots[i]
+		sl.in = trace.NewInterp(svc, opts.Traces)
 		sl.build = func() (*trace.BatchStream, error) {
-			b := sl.batch
+			b := &batches[sl.b]
 			sg := alloc.NewStackGroup(0, len(b.Requests), opts.StackInterleave)
-			traces, err := batchTraces(opts.Traces, svc, b.Requests, sg, opts.AllocPolicy, cfgM.L1.Banks)
+			traces, err := sl.in.Batch(pos[sl.b], b.Requests, sg, opts.AllocPolicy, lineBytes, cfgM.L1.Banks)
 			if err != nil {
 				return nil, err
 			}
@@ -429,13 +455,13 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 	err := pipelined(sp.unitCount(len(batches)), la,
 		func(slot, k int) error {
 			sl := &slots[slot]
-			sl.batch = &batches[sp.unit(k)]
+			sl.b = sp.unit(k)
 			var err error
 			if opts.BatchStreams == nil {
 				sl.stream, err = sl.build()
 				return err
 			}
-			sl.key = batchKey(sl.key[:0], sl.batch.Requests, size, &opts, cfgM.L1.Banks)
+			sl.key = batchKey(sl.key[:0], batches[sl.b].Requests, size, &opts, cfgM.L1.Banks)
 			sl.stream, err = opts.BatchStreams.Get(sl.key, sl.build)
 			return err
 		},

@@ -40,18 +40,28 @@ func effKey(dst []byte, reqs []uservices.Request, size int, ipdom bool) []byte {
 		ipdom, spin, alloc.PolicySIMR, true, lineBytes, 8, alloc.StackRegion)
 }
 
+// planEff enumerates into p the scalar-trace reads
+// efficiencyOf(svc, reqs, effBatch, policy, ipdom, ...) will make.
+func planEff(p *trace.Plan, reqs []uservices.Request, policy batch.Policy, ipdom bool) {
+	for _, b := range batch.Form(reqs, effBatch, policy) {
+		p.Batch(true, b.Requests, alloc.PolicySIMR, lineBytes, 8,
+			func(dst []byte) []byte { return effKey(dst, b.Requests, effBatch, ipdom) })
+	}
+}
+
 // efficiencyOf lock-steps all batches of a policy and returns weighted
-// SIMT efficiency. tc may be nil to interpret traces fresh; bc may be
-// nil to lock-step every batch fresh. The study only needs the op
+// SIMT efficiency. reads may be nil to interpret traces fresh; bc may
+// be nil to lock-step every batch fresh. The study only needs the op
 // counts, so cached entries are count-only streams under the KeyEff
 // tag (distinct from the uop streams runBatched retains).
-func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p batch.Policy, ipdom bool, tc *trace.Cache, bc *trace.BatchCache) (float64, error) {
+func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p batch.Policy, ipdom bool, reads *trace.Reads, bc *trace.BatchCache) (float64, error) {
 	reconv := svc.BranchReconv()
-	scalar, ops := 0, 0
+	scalar, ops, pos := 0, 0, 0
 	var (
 		sc  simt.Scratch
 		key []byte
 	)
+	in := trace.NewInterp(svc, reads)
 	spin := simt.DefaultSpin
 	sp := &spin
 	if ipdom {
@@ -60,7 +70,7 @@ func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p 
 	for _, b := range batch.Form(reqs, size, p) {
 		build := func() (*trace.BatchStream, error) {
 			sg := alloc.NewStackGroup(0, len(b.Requests), true)
-			traces, err := batchTraces(tc, svc, b.Requests, sg, alloc.PolicySIMR, 8)
+			traces, err := in.Batch(pos, b.Requests, sg, alloc.PolicySIMR, lineBytes, 8)
 			if err != nil {
 				return nil, err
 			}
@@ -92,6 +102,7 @@ func efficiencyOf(svc *uservices.Service, reqs []uservices.Request, size int, p 
 		if err != nil {
 			return 0, err
 		}
+		pos += len(b.Requests)
 		scalar += st.ScalarOps
 		ops += st.BatchOps
 	}

@@ -8,6 +8,7 @@ import (
 	"simr/internal/mem"
 	"simr/internal/pipeline"
 	"simr/internal/simt"
+	"simr/internal/trace"
 	"simr/internal/uservices"
 )
 
@@ -178,9 +179,10 @@ func MultiBatchStudy(svc *uservices.Service, reqs []uservices.Request, opts Opti
 		ub uopBuilder // never reset: streams a and b stay alive together
 		sc simt.Scratch
 	)
+	in := trace.NewInterp(svc, opts.Traces)
 	mkUops := func(rs []uservices.Request, thread int) ([]pipeline.Uop, error) {
 		sg := alloc.NewStackGroup(0, len(rs), opts.StackInterleave)
-		traces, err := batchTraces(opts.Traces, svc, rs, sg, opts.AllocPolicy, cfgM.L1.Banks)
+		traces, err := in.Batch(thread*size, rs, sg, opts.AllocPolicy, lineBytes, cfgM.L1.Banks)
 		if err != nil {
 			return nil, err
 		}

@@ -140,18 +140,18 @@ var prepRunSeq atomic.Int64
 
 // prepObs instruments one pipelined invocation.
 type prepObs struct {
-	sink          *obs.TraceSink
-	units         *obs.Counter // units pushed through the pipeline
-	inlineUnits   *obs.Counter // units run on the inline (lookahead<=0) path
-	prepNS        *obs.Counter // producer time spent preparing
-	consumeNS     *obs.Counter // consumer time spent applying results
-	prepStallNS   *obs.Counter // producers blocked waiting for a free slot
-	consumeStall  *obs.Counter // consumer blocked waiting for a prepared unit
-	runs          *obs.Counter
-	lookaheadHWM  *obs.Gauge
-	tidBase       int
-	start         time.Time
-	wallNS        *obs.Counter
+	sink         *obs.TraceSink
+	units        *obs.Counter // units pushed through the pipeline
+	inlineUnits  *obs.Counter // units run on the inline (lookahead<=0) path
+	prepNS       *obs.Counter // producer time spent preparing
+	consumeNS    *obs.Counter // consumer time spent applying results
+	prepStallNS  *obs.Counter // producers blocked waiting for a free slot
+	consumeStall *obs.Counter // consumer blocked waiting for a prepared unit
+	runs         *obs.Counter
+	lookaheadHWM *obs.Gauge
+	tidBase      int
+	start        time.Time
+	wallNS       *obs.Counter
 }
 
 // prepProbe resolves the prep-pipeline instruments, or nil when

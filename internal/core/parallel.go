@@ -164,61 +164,66 @@ var disableTraceCache bool
 var disableBatchCache bool
 
 // prepCell places one cell of a sweep: the index of the service it
-// runs and its prep signature (nil when the cell never consults the
-// batch cache; see prepSignature).
+// runs, its prep signature (nil when the cell never consults the batch
+// cache; see prepSignature) and plan, which enumerates the cell's
+// scalar-trace reads of the service's request stream (see planRun). A
+// cell with no plan reads every trace fresh.
 type prepCell struct {
-	svc int
-	sig []byte
+	svc  int
+	sig  []byte
+	plan func(p *trace.Plan, reqs []uservices.Request)
 }
 
-// sweepCaches owns one trace.Cache and one shared request stream per
-// service of a sweep, plus a trace.BatchCache for each service whose
-// cells share a prep signature, all drawing on a single byte budget.
-// Cells of the same service share the caches and the stream (all
-// read-only); a per-service countdown drops both caches — returning
-// their bytes to the budget — as soon as the service's last cell
-// finishes, so long sweeps never hold every service's traces and
-// streams at once.
+// sweepCaches owns each service's shared request stream and
+// trace.Cache, plus a trace.BatchCache for each service whose cells
+// share a prep signature, all drawing on a single byte budget. A
+// service's stream and trace cache are built by its first cell to
+// start, from the plans of all its cells; a per-service countdown drops
+// both caches — returning their bytes to the budget — and lets go of
+// them as soon as the service's last cell finishes, so long sweeps
+// never hold every service's traces and streams at once.
 //
-// Batch-cache admission follows from the cell plan: a cell gets its
-// service's batch cache only when another cell of that service has the
-// same prep signature. Keys are collision-free and carry every
-// signature field, so a cell with a unique signature could only ever
-// miss and pay for a retained copy nobody reads.
+// Admission follows from the cell plan. A cell gets its service's
+// batch cache only when another cell of that service has the same prep
+// signature: keys are collision-free and carry every signature field,
+// so a cell with a unique signature could only ever miss and pay for a
+// retained copy nobody reads. Likewise the trace cache retains only
+// traces the plan reads at least twice; the rest are interpreted into
+// the reading slot's own buffers.
 type sweepCaches struct {
-	svcs    []*uservices.Service
-	gen     func(*uservices.Service) []uservices.Request
-	cells   []prepCell
-	shared  []bool
-	budget  *trace.Budget
-	caches  []*trace.Cache
-	bcaches []*trace.BatchCache
-	reqs    [][]uservices.Request
-	once    []sync.Once
-	left    []atomic.Int32
+	svcs   []*uservices.Service
+	gen    func(*uservices.Service) []uservices.Request
+	cells  []prepCell
+	ord    []int // cell i is its service's ord[i]-th cell
+	shared []bool
+	budget *trace.Budget
+	state  []svcState
+}
+
+// svcState is one service's share of a sweep.
+type svcState struct {
+	once    sync.Once
+	reqs    []uservices.Request
+	traces  *trace.Cache
+	batches *trace.BatchCache
+	left    atomic.Int32
 }
 
 // newSweepCaches builds the per-service caches for a sweep of the
 // given cells; gen produces a service's request stream.
 func newSweepCaches(svcs []*uservices.Service, gen func(*uservices.Service) []uservices.Request, cells []prepCell) *sweepCaches {
 	sw := &sweepCaches{
-		svcs:    svcs,
-		gen:     gen,
-		cells:   cells,
-		shared:  make([]bool, len(cells)),
-		budget:  trace.NewBudget(0),
-		caches:  make([]*trace.Cache, len(svcs)),
-		bcaches: make([]*trace.BatchCache, len(svcs)),
-		reqs:    make([][]uservices.Request, len(svcs)),
-		once:    make([]sync.Once, len(svcs)),
-		left:    make([]atomic.Int32, len(svcs)),
-	}
-	for i, svc := range svcs {
-		sw.caches[i] = trace.NewCache(svc, sw.budget)
+		svcs:   svcs,
+		gen:    gen,
+		cells:  cells,
+		ord:    make([]int, len(cells)),
+		shared: make([]bool, len(cells)),
+		budget: trace.NewBudget(0),
+		state:  make([]svcState, len(svcs)),
 	}
 	sigs := make([]map[string]int, len(svcs))
-	for _, c := range cells {
-		sw.left[c.svc].Add(1)
+	for i, c := range cells {
+		sw.ord[i] = int(sw.state[c.svc].left.Add(1)) - 1
 		if c.sig != nil {
 			if sigs[c.svc] == nil {
 				sigs[c.svc] = map[string]int{}
@@ -231,20 +236,11 @@ func newSweepCaches(svcs []*uservices.Service, gen func(*uservices.Service) []us
 			continue
 		}
 		sw.shared[i] = true
-		if sw.bcaches[c.svc] == nil {
-			sw.bcaches[c.svc] = trace.NewBatchCache(sw.budget)
+		if sw.state[c.svc].batches == nil {
+			sw.state[c.svc].batches = trace.NewBatchCache(sw.budget)
 		}
 	}
 	return sw
-}
-
-// cache returns service s's trace cache (nil when caching is disabled,
-// which makes every consumer interpret fresh).
-func (sw *sweepCaches) cache(s int) *trace.Cache {
-	if disableTraceCache {
-		return nil
-	}
-	return sw.caches[s]
 }
 
 // batchCache returns the batch-stream cache cell i may consult: its
@@ -254,40 +250,59 @@ func (sw *sweepCaches) batchCache(i int) *trace.BatchCache {
 	if disableBatchCache || !sw.shared[i] {
 		return nil
 	}
-	return sw.bcaches[sw.cells[i].svc]
+	return sw.state[sw.cells[i].svc].batches
 }
 
-// requests returns service s's shared request stream, generating it on
-// first use. The stream is read-only for all cells.
-func (sw *sweepCaches) requests(s int) []uservices.Request {
+// env returns cell i's environment, generating its service's request
+// stream and planning the service's trace cache on first use. The
+// stream is read-only for all cells.
+func (sw *sweepCaches) env(i int) cellEnv {
+	s := sw.cells[i].svc
+	e := cellEnv{svc: sw.svcs[s], batches: sw.batchCache(i)}
 	if disableTraceCache {
-		return sw.gen(sw.svcs[s])
+		e.reqs = sw.gen(e.svc)
+		return e
 	}
-	sw.once[s].Do(func() { sw.reqs[s] = sw.gen(sw.svcs[s]) })
-	return sw.reqs[s]
+	st := &sw.state[s]
+	st.once.Do(func() {
+		st.reqs = sw.gen(e.svc)
+		p := trace.NewPlan()
+		for j, c := range sw.cells {
+			if c.svc != s {
+				continue
+			}
+			p.Cell(sw.batchCache(j) != nil)
+			if c.plan != nil {
+				c.plan(p, st.reqs)
+			}
+		}
+		st.traces = trace.NewCache(p, sw.budget)
+	})
+	e.reqs, e.traces = st.reqs, st.traces.Reads(sw.ord[i])
+	return e
 }
 
-// done marks one of service s's cells finished and drops the service's
-// caches when the last one completes.
+// done marks one of service s's cells finished; the last one drops the
+// service's caches and lets go of them.
 func (sw *sweepCaches) done(s int) {
-	if sw.left[s].Add(-1) == 0 {
-		sw.caches[s].Drop()
-		sw.bcaches[s].Drop()
+	st := &sw.state[s]
+	if st.left.Add(-1) != 0 {
+		return
 	}
+	st.traces.Drop()
+	st.batches.Drop()
+	st.traces = nil
 }
 
-// abort drops every service's cache. sweepRun calls it on the sweep's
+// abort drops every service's caches. sweepRun calls it on the sweep's
 // error path: cells abandoned by RunCells never call done, so without
 // the drain a failed sweep would strand each undropped cache's bytes
 // against the shared trace.Budget for as long as the sweep's results
-// stay reachable. Drop is idempotent (and nil-safe), so racing a
-// straggler cell's own done is harmless.
+// stay reachable. Drop is idempotent and nil-safe.
 func (sw *sweepCaches) abort() {
-	for _, c := range sw.caches {
-		c.Drop()
-	}
-	for _, c := range sw.bcaches {
-		c.Drop()
+	for s := range sw.state {
+		sw.state[s].traces.Drop()
+		sw.state[s].batches.Drop()
 	}
 }
 
@@ -296,7 +311,7 @@ func (sw *sweepCaches) abort() {
 type cellEnv struct {
 	svc     *uservices.Service
 	reqs    []uservices.Request
-	traces  *trace.Cache
+	traces  *trace.Reads
 	batches *trace.BatchCache
 }
 
@@ -304,9 +319,8 @@ type cellEnv struct {
 // workers (see RunCells) and returns the results in plan order.
 func sweepRun[T any](sw *sweepCaches, workers int, fn func(i int, e cellEnv) (T, error)) ([]T, error) {
 	out, err := RunCells(len(sw.cells), workers, func(i int) (T, error) {
-		s := sw.cells[i].svc
-		defer sw.done(s)
-		return fn(i, cellEnv{svc: sw.svcs[s], reqs: sw.requests(s), traces: sw.cache(s), batches: sw.batchCache(i)})
+		defer sw.done(sw.cells[i].svc)
+		return fn(i, sw.env(i))
 	})
 	if err != nil {
 		sw.abort()
@@ -330,7 +344,9 @@ func runServiceCells(svcs []*uservices.Service, gen func(*uservices.Service) []u
 	plan := make([]prepCell, len(cells))
 	for i := range cells {
 		c := &cells[i]
-		plan[i] = prepCell{svc: c.svc, sig: prepSignature(c.arch, svcs[c.svc], &c.opts)}
+		svc := svcs[c.svc]
+		plan[i] = prepCell{svc: c.svc, sig: prepSignature(c.arch, svc, &c.opts),
+			plan: func(p *trace.Plan, reqs []uservices.Request) { planRun(p, c.arch, svc, reqs, &c.opts) }}
 	}
 	la := prepBudget(len(cells), workers)
 	return sweepRun(newSweepCaches(svcs, gen, plan), workers, func(i int, e cellEnv) (*Result, error) {
@@ -398,7 +414,8 @@ func EfficiencyStudy(svcs []*uservices.Service, requests int, seed int64, worker
 	plan := make([]prepCell, 0, len(svcs)*nv)
 	for s := range svcs {
 		for _, v := range variants {
-			plan = append(plan, prepCell{svc: s, sig: effKey(nil, nil, effBatch, v.ipdom)})
+			plan = append(plan, prepCell{svc: s, sig: effKey(nil, nil, effBatch, v.ipdom),
+				plan: func(p *trace.Plan, reqs []uservices.Request) { planEff(p, reqs, v.policy, v.ipdom) }})
 		}
 	}
 	sw := newSweepCaches(svcs, studyRequests(requests, seed), plan)
@@ -492,6 +509,8 @@ type MultiBatchRow struct {
 // MultiBatchSweep runs MultiBatchStudy for every given service on a
 // worker pool (two tuned-size batches per service).
 func MultiBatchSweep(svcs []*uservices.Service, seed int64, workers int) ([]MultiBatchRow, error) {
+	// One cell per service, whose two batches read distinct requests:
+	// nothing is read twice, so the cells plan nothing.
 	plan := make([]prepCell, len(svcs))
 	for s := range plan {
 		plan[s].svc = s

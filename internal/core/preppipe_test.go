@@ -8,6 +8,7 @@ import (
 
 	"simr/internal/alloc"
 	"simr/internal/simt"
+	"simr/internal/trace"
 	"simr/internal/uservices"
 )
 
@@ -191,23 +192,29 @@ func TestPrepPipelineUnderSweep(t *testing.T) {
 func TestSweepCachesAbort(t *testing.T) {
 	suite := uservices.NewSuite()
 	svcs := []*uservices.Service{suite.Get("memc"), suite.Get("user")}
-	sw := newSweepCaches(svcs, studyRequests(8, 3), []prepCell{{svc: 0}, {svc: 0}, {svc: 1}, {svc: 1}})
+	// Both cells of a service read every request at thread 0, so the
+	// plan admits every key.
+	cpu := func(p *trace.Plan, reqs []uservices.Request) { planRun(p, ArchCPU, nil, reqs, &Options{}) }
+	sw := newSweepCaches(svcs, studyRequests(8, 3), []prepCell{{svc: 0, plan: cpu}, {svc: 0, plan: cpu}, {svc: 1, plan: cpu}, {svc: 1, plan: cpu}})
 	for s, svc := range svcs {
-		reqs := sw.requests(s)
-		sg := alloc.NewStackGroup(0, len(reqs), true)
-		if _, err := sw.cache(s).Batch(svc, reqs, sg, alloc.PolicySIMR, 32, 8); err != nil {
-			t.Fatal(err)
+		e := sw.env(2 * s)
+		in := trace.NewInterp(svc, e.traces)
+		for i := range e.reqs {
+			if _, err := in.Trace(i, &e.reqs[i], 0, alloc.StackRegion+alloc.StackSize, alloc.PolicyCPU, lineBytes, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if sw.cache(s).Stats().Bytes == 0 {
+		if sw.state[s].traces.Stats().Bytes == 0 {
 			t.Fatalf("service %d cached nothing", s)
 		}
 	}
 	// One of service 0's two cells finishes before the sweep fails; the
 	// other cells are abandoned and never call done.
+	caches := []*trace.Cache{sw.state[0].traces, sw.state[1].traces}
 	sw.done(0)
 	sw.abort()
-	for s := range svcs {
-		if got := sw.cache(s).Stats().Bytes; got != 0 {
+	for s, c := range caches {
+		if got := c.Stats().Bytes; got != 0 {
 			t.Fatalf("service %d still holds %d bytes after abort", s, got)
 		}
 	}

@@ -65,12 +65,19 @@ func newRunSampler(cfg sample.Config, units, requests int) *runSampler {
 		sp.forceTimed = units - 1
 	}
 	for i := 0; i < units; i++ {
-		if cfg.Role(i) != sample.RoleSkip || i == sp.forceTimed {
+		if prepared(cfg, units, i) {
 			sp.active = append(sp.active, i)
 		}
 	}
 	sp.po = sampleProbe(cfg, units-len(sp.active))
 	return sp
+}
+
+// prepared reports whether a run of units units under cfg prepares
+// unit i: every unit when sampling is off, else the timed and warmup
+// units, the forced timed unit included.
+func prepared(cfg sample.Config, units, i int) bool {
+	return !cfg.Active() || cfg.Role(i) != sample.RoleSkip || (units < cfg.Period && i == units-1)
 }
 
 // unitCount returns how many units the prep pipeline walks: all n

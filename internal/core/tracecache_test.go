@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"simr/internal/obs"
 	"simr/internal/uservices"
 )
 
@@ -142,4 +143,54 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 			t.Fatal("cached batch sweep differs from fresh interpretation")
 		}
 	})
+}
+
+// TestTraceCacheAdmission pins each study's scalar-trace cache plan on
+// the full suite at 240 requests per service, read from the trace.cache
+// obs scope (the process-wide mirror of Cache.Stats). Hits equal what
+// an admit-everything cache scored, so the plan loses no sharing;
+// studies whose reads are all unique make no lookups; and every
+// retained entry is released at its last planned read, having served
+// at least two: nothing is bypassed or left for Drop.
+func TestTraceCacheAdmission(t *testing.T) {
+	svcs := uservices.NewSuite().Services
+	const requests, seed, workers = 240, 42, 2
+	cases := []struct {
+		study string
+		run   func() error
+		hits  int64
+	}{
+		{"chip", func() error { _, err := ChipStudy(svcs, requests, seed, false, workers); return err }, 450},
+		{"sensitivity", func() error { _, err := SensitivityStudy(svcs, requests, seed, workers); return err }, 10800},
+		{"mpki", func() error { _, err := MPKIStudy(svcs, requests, seed, workers); return err }, 5534},
+		{"efficiency", func() error { _, err := EfficiencyStudy(svcs, requests, seed, workers); return err }, 3731},
+		{"timing", func() error { _, err := TimingSweep(svcs, requests, seed, workers); return err }, 0},
+		{"multibatch", func() error { _, err := MultiBatchSweep(svcs, seed, workers); return err }, 0},
+	}
+	for _, c := range cases {
+		reg := obs.NewRegistry()
+		obs.Enable(reg, nil)
+		err := c.run()
+		obs.Disable()
+		if err != nil {
+			t.Fatalf("%s: %v", c.study, err)
+		}
+		var got obs.ScopeSnapshot
+		for _, sc := range reg.Snapshot().Scopes {
+			if sc.Name == "trace.cache" {
+				got = sc
+			}
+		}
+		n := got.Counters
+		if n["hits"] != c.hits || (c.hits == 0 && n["misses"] != 0) {
+			t.Errorf("%s: %d hits, %d misses; want %d hits", c.study, n["hits"], n["misses"], c.hits)
+		}
+		if n["released"] != n["misses"] || n["bypassed"] != 0 || n["dropped_bytes"] != 0 {
+			t.Errorf("%s: %d of %d retained entries released at their last planned read, %d bypassed, %d bytes dropped; want all, 0, 0",
+				c.study, n["released"], n["misses"], n["bypassed"], n["dropped_bytes"])
+		}
+		if n["fresh"] == 0 {
+			t.Errorf("%s: no fresh interpretations recorded", c.study)
+		}
+	}
 }

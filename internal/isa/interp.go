@@ -79,7 +79,7 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 
 	prog := top
 	blk := prog.Blocks[prog.Entry]
-	var stack []frame
+	stack := ctx.frames[:0]
 
 	for {
 		for i := range blk.Instrs {
@@ -134,6 +134,7 @@ func ExecuteBuf(top *Program, ctx *Ctx, maxOps int, buf []TraceOp) ([]TraceOp, e
 				return nil, fmt.Errorf("isa: %q ended with %d live frames", prog.Name, len(stack))
 			}
 			top.traceLen.Store(int64(len(ops)))
+			ctx.frames = stack
 			return ops, nil
 		default:
 			return nil, fmt.Errorf("isa: %q block %d has invalid terminator", prog.Name, blk.ID)

@@ -34,6 +34,8 @@ type Ctx struct {
 	Rand *rand.Rand
 	// TID is the thread's index within its batch.
 	TID int
+
+	frames []frame // call stack, reused when the Ctx is
 }
 
 // Arg0 returns Arg[i] or 0 when absent; keeps workload closures concise.

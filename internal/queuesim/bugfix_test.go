@@ -64,8 +64,8 @@ func TestCensoringDrain(t *testing.T) {
 	cfg.QPS = 1000
 	cfg.Seconds = 0.01 // 10 ms of arrivals...
 	cfg.Warmup = 0
-	cfg.HitRate = 0            // every request takes the storage path
-	cfg.StorageLatency = 50    // ...each needing >= 50 ms to finish
+	cfg.HitRate = 0         // every request takes the storage path
+	cfg.StorageLatency = 50 // ...each needing >= 50 ms to finish
 	cfg.Drain = 1
 	m := Run(cfg)
 	if m.Completed == 0 {

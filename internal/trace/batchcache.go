@@ -24,12 +24,10 @@ package trace
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"simr/internal/alloc"
 	"simr/internal/mem"
-	"simr/internal/obs"
 	"simr/internal/pipeline"
 	"simr/internal/simt"
 	"simr/internal/uservices"
@@ -196,23 +194,11 @@ type batchEntry struct {
 // the duration of one sweep. It is safe for concurrent use. A nil
 // *BatchCache is accepted everywhere and builds fresh.
 type BatchCache struct {
-	budget *Budget
+	counters // hits, misses, bypassed and drops, under "trace.batchcache"
+	budget   *Budget
 
 	mu sync.Mutex
 	m  map[string]*batchEntry
-
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	bypassed atomic.Uint64
-	drops    atomic.Uint64
-	bytes    atomic.Int64
-	bytesHWM atomic.Int64
-
-	// Observability mirrors (nil no-ops when the obs hub was not
-	// installed at construction time); they aggregate over every batch
-	// cache of the process under the "trace.batchcache" scope.
-	obsHits, obsMisses, obsBypassed, obsDrops, obsDroppedBytes *obs.Counter
-	obsBytesHWM                                                *obs.Gauge
 }
 
 // NewBatchCache returns a batch-stream cache drawing on the shared
@@ -220,46 +206,8 @@ type BatchCache struct {
 // exactly one service — keys do not encode the program set.
 func NewBatchCache(budget *Budget) *BatchCache {
 	c := &BatchCache{budget: budget, m: map[string]*batchEntry{}}
-	if sc := obs.Default().Scope("trace.batchcache"); sc != nil {
-		c.obsHits = sc.Counter("hits")
-		c.obsMisses = sc.Counter("misses")
-		c.obsBypassed = sc.Counter("bypassed")
-		c.obsDrops = sc.Counter("drops")
-		c.obsDroppedBytes = sc.Counter("dropped_bytes")
-		c.obsBytesHWM = sc.Gauge("bytes_hwm")
-	}
+	c.init("trace.batchcache", nDrops+1)
 	return c
-}
-
-// BatchStats reports batch-cache effectiveness counters.
-type BatchStats struct {
-	Hits, Misses, Bypassed, Drops uint64
-	Bytes, BytesHWM               int64
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *BatchCache) Stats() BatchStats {
-	if c == nil {
-		return BatchStats{}
-	}
-	return BatchStats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		Bypassed: c.bypassed.Load(),
-		Drops:    c.drops.Load(),
-		Bytes:    c.bytes.Load(),
-		BytesHWM: c.bytesHWM.Load(),
-	}
-}
-
-// storeMax raises a to at least v.
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Get returns the memoized stream for key, invoking build at most once
@@ -279,35 +227,30 @@ func (c *BatchCache) Get(key []byte, build func() (*BatchStream, error)) (*Batch
 	if c.m == nil {
 		// Dropped: serve fresh without re-populating.
 		c.mu.Unlock()
-		c.bypassed.Add(1)
-		c.obsBypassed.Inc()
+		c.inc(nBypassed)
 		return build()
 	}
 	if e, ok := c.m[string(key)]; ok {
 		c.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
-			c.hits.Add(1)
-			c.obsHits.Inc()
+			c.inc(nHits)
 			return nil, e.err
 		}
 		if e.stream == nil {
 			// The first builder could not retain its stream (over
 			// budget, or Drop raced); its result aliases its private
 			// arena, so it cannot be shared — rebuild locally.
-			c.bypassed.Add(1)
-			c.obsBypassed.Inc()
+			c.inc(nBypassed)
 			return build()
 		}
-		c.hits.Add(1)
-		c.obsHits.Inc()
+		c.inc(nHits)
 		return e.stream, nil
 	}
 	e := &batchEntry{ready: make(chan struct{})}
 	c.m[string(key)] = e
 	c.mu.Unlock()
-	c.misses.Add(1)
-	c.obsMisses.Inc()
+	c.inc(nMisses)
 
 	st, err := build()
 	if err != nil {
@@ -329,8 +272,7 @@ func (c *BatchCache) Get(key []byte, build func() (*BatchStream, error)) (*Batch
 		}
 		c.mu.Unlock()
 		if retained {
-			storeMax(&c.bytesHWM, c.bytes.Add(cost))
-			c.obsBytesHWM.SetMax(c.bytes.Load())
+			c.retain(cost)
 		} else {
 			c.budget.release(cost)
 		}
@@ -340,8 +282,7 @@ func (c *BatchCache) Get(key []byte, build func() (*BatchStream, error)) (*Batch
 		// built stream, but the entry cannot serve waiters — their
 		// singleflight wait degrades to a local rebuild, never to a
 		// shared alias of this caller's arena.
-		c.bypassed.Add(1)
-		c.obsBypassed.Inc()
+		c.inc(nBypassed)
 		c.mu.Lock()
 		if c.m != nil && c.m[string(key)] == e {
 			delete(c.m, string(key))
@@ -383,9 +324,6 @@ func (c *BatchCache) Drop() {
 		default:
 		}
 	}
-	c.bytes.Add(-freed)
 	c.budget.release(freed)
-	c.drops.Add(1)
-	c.obsDrops.Inc()
-	c.obsDroppedBytes.Add(freed)
+	c.drop(freed)
 }

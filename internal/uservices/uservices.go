@@ -15,7 +15,6 @@ import (
 
 	"simr/internal/alloc"
 	"simr/internal/isa"
-	"simr/internal/seedrng"
 )
 
 // Request is one incoming RPC/HTTP request.
@@ -90,32 +89,17 @@ func (s *Service) Generate(r *rand.Rand, n int) []Request {
 
 // Trace executes the request's program for thread tid and returns the
 // scalar dynamic trace. stackBase is the thread's stack segment top and
-// heap its arena. The request stream is seeded through seedrng, which
-// emits exactly rand.New(rand.NewSource(req.Seed)) without re-paying
-// the source warmup on every interpretation of the same request.
+// heap its arena. Sweeps interpret through trace.Interp instead, which
+// reuses one context, seed source and trace buffer per prep slot.
 func (s *Service) Trace(req *Request, tid int, stackBase uint64, heap isa.Heap) ([]isa.TraceOp, error) {
 	ctx := &isa.Ctx{
 		Arg:       req.Args,
 		StackBase: stackBase,
 		Heap:      heap,
-		Rand:      seedrng.New(req.Seed),
+		Rand:      rand.New(rand.NewSource(req.Seed)),
 		TID:       tid,
 	}
 	return isa.Execute(s.Program(req.API), ctx, 0)
-}
-
-// TraceInto is Trace interpreting into buf's backing array (see
-// isa.ExecuteBuf); a caller that copies the trace out before the next
-// request can reuse one buffer instead of allocating per trace.
-func (s *Service) TraceInto(req *Request, tid int, stackBase uint64, heap isa.Heap, buf []isa.TraceOp) ([]isa.TraceOp, error) {
-	ctx := &isa.Ctx{
-		Arg:       req.Args,
-		StackBase: stackBase,
-		Heap:      heap,
-		Rand:      seedrng.New(req.Seed),
-		TID:       tid,
-	}
-	return isa.ExecuteBuf(s.Program(req.API), ctx, 0, buf)
 }
 
 // TraceBatch traces every request of a batch with per-thread stacks and
