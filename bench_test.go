@@ -31,6 +31,10 @@ import (
 // default to the paper's 2400.
 const benchRequests = 320
 
+// seqEnv runs each study's cells one at a time with the automatic
+// prep lookahead; the benchmarks and the facade tests share it.
+var seqEnv = core.Env{Workers: 1, Lookahead: core.PrepAuto}
+
 func benchSuite(b *testing.B) *uservices.Suite {
 	b.Helper()
 	return uservices.NewSuite()
@@ -39,7 +43,7 @@ func benchSuite(b *testing.B) *uservices.Suite {
 func BenchmarkFig04NaiveSIMTEfficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := benchSuite(b)
-		rows, err := core.EfficiencyStudy(suite.Services, benchRequests, 42, 1)
+		rows, err := core.EfficiencyStudy(suite.Services, benchRequests, 42, seqEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +65,7 @@ func BenchmarkFig05ThreadScaling(b *testing.B) {
 func BenchmarkFig11BatchingPolicies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := benchSuite(b)
-		rows, err := core.EfficiencyStudy(suite.Services, benchRequests, 42, 1)
+		rows, err := core.EfficiencyStudy(suite.Services, benchRequests, 42, seqEnv)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +80,7 @@ func BenchmarkFig11BatchingPolicies(b *testing.B) {
 func chipRows(b *testing.B, withGPU bool) []core.ChipRow {
 	b.Helper()
 	suite := benchSuite(b)
-	rows, err := core.ChipStudy(suite.Services, benchRequests, 42, withGPU, 1)
+	rows, err := core.ChipStudy(suite.Services, benchRequests, 42, withGPU, seqEnv)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +112,7 @@ func BenchmarkFig14L1Traffic(b *testing.B) {
 func BenchmarkFig15MPKI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := benchSuite(b)
-		rows, err := core.MPKIStudy(suite.Services, benchRequests, 42, 1)
+		rows, err := core.MPKIStudy(suite.Services, benchRequests, 42, seqEnv)
 		if err != nil {
 			b.Fatal(err)
 		}

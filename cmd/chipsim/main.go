@@ -18,24 +18,21 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math/rand"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"simr/internal/core"
 	"simr/internal/dist"
 	"simr/internal/distflag"
 	"simr/internal/energy"
+	"simr/internal/envflag"
 	"simr/internal/obsflag"
 	"simr/internal/prof"
-	"simr/internal/sampleflag"
 	"simr/internal/uservices"
 )
 
@@ -52,28 +49,18 @@ func main() {
 	sensServices := flag.String("services", "", "comma-separated service subset for -sensitivity")
 	gpu := flag.Bool("gpu", true, "include the GPU design point")
 	jsonOut := flag.Bool("json", false, "emit the chip study as JSON instead of tables")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the study sweeps (0 = one per CPU, 1 = sequential)")
-	lookahead := flag.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	envFlags := envflag.Add(flag.CommandLine, envflag.Parallel|envflag.Lookahead|envflag.Sample)
 	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
 	distFlags := distflag.Add(flag.CommandLine)
 	flag.Parse()
-	if err := checkFlags(*fig, *table, *parallel, *lookahead); err != nil {
+	if err := checkFlags(*fig, *table); err != nil {
 		fmt.Fprintln(os.Stderr, "chipsim:", err)
 		os.Exit(2)
 	}
-	core.SetPrepLookahead(*lookahead)
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
-
-	// SIGINT/SIGTERM cancel the sweep between cells so checkpoints and
-	// profiles flush instead of dying mid-write.
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	env, stopSig := envFlags.Env()
 	defer stopSig()
-	core.SetInterrupt(ctx)
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -83,7 +70,7 @@ func main() {
 	obsFlags.Setup()
 	defer obsFlags.Close()
 
-	if ran, err := distFlags.HandleWorker(ctx); ran {
+	if ran, err := distFlags.HandleWorker(env.Ctx); ran {
 		if err != nil {
 			obsFlags.Close()
 			stopProf()
@@ -98,7 +85,7 @@ func main() {
 		spec := dist.SweepSpec{Studies: []dist.StudySpec{{
 			Kind: kind, Services: services, Requests: *requests, Seed: *seed, WithGPU: withGPU,
 		}}}
-		res, err := distFlags.Run(ctx, spec)
+		res, err := distFlags.Run(env, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -115,7 +102,7 @@ func main() {
 		log.Fatal("-ispc and -multiprocess are single-process studies; drop -dist")
 	}
 	if *ispc {
-		runISPC(suite, *requests, *seed)
+		runISPC(suite, *requests, *seed, env)
 		return
 	}
 	if *multiproc {
@@ -139,7 +126,7 @@ func main() {
 			rows = runDist(dist.StudyMultiBatch, nil, false).Multi
 		} else {
 			var err error
-			rows, err = core.MultiBatchSweep(suite.Services, *seed, *parallel)
+			rows, err = core.MultiBatchSweep(suite.Services, *seed, env)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -157,7 +144,7 @@ func main() {
 			rows = runDist(dist.StudyTiming, nil, false).Timing
 		} else {
 			var err error
-			rows, err = core.TimingSweep(suite.Services, *requests, *seed, *parallel)
+			rows, err = core.TimingSweep(suite.Services, *requests, *seed, env)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -183,7 +170,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pairs, err := core.SensitivityStudy(svcs, *requests, *seed, *parallel)
+		pairs, err := core.SensitivityStudy(svcs, *requests, *seed, env)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -203,7 +190,7 @@ func main() {
 			rows = runDist(dist.StudyMPKI, nil, false).MPKI
 		} else {
 			var err error
-			rows, err = core.MPKIStudy(suite.Services, *requests, *seed, *parallel)
+			rows, err = core.MPKIStudy(suite.Services, *requests, *seed, env)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -218,7 +205,7 @@ func main() {
 		rows = runDist(dist.StudyChip, nil, *gpu).Chip
 	} else {
 		var err error
-		rows, err = core.ChipStudy(suite.Services, *requests, *seed, *gpu, *parallel)
+		rows, err = core.ChipStudy(suite.Services, *requests, *seed, *gpu, env)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -267,10 +254,10 @@ var tables = map[int]func(){
 	7: printTable7,
 }
 
-// checkFlags rejects selector and sizing values chipsim gives no
-// meaning to, so a typo fails fast instead of running a study that
-// prints nothing or the wrong thing.
-func checkFlags(fig, table, parallel, lookahead int) error {
+// checkFlags rejects selector values chipsim gives no meaning to, so a
+// typo fails fast instead of running a study that prints nothing or the
+// wrong thing. envflag checks the environment flags as they parse.
+func checkFlags(fig, table int) error {
 	known := fig == 0 || fig == 15 // 15 is the MPKI study's
 	for _, f := range chipFigs {
 		known = known || f.n == fig
@@ -281,29 +268,26 @@ func checkFlags(fig, table, parallel, lookahead int) error {
 	if _, ok := tables[table]; table != 0 && !ok {
 		return fmt.Errorf("-table %d: want 4, 5, 6 or 7", table)
 	}
-	if parallel < 0 {
-		return fmt.Errorf("-parallel %d: want 0 (one worker per CPU) or more", parallel)
-	}
-	if lookahead < core.PrepAuto {
-		return fmt.Errorf("-lookahead %d: want %d (auto) or more", lookahead, core.PrepAuto)
-	}
 	return nil
 }
 
 // runISPC prints the §VI-A study: one request per AVX lane on the CPU
-// vs the dedicated RPU, over the same requests.
-func runISPC(suite *uservices.Suite, requests int, seed int64) {
+// vs the dedicated RPU, over the same requests; the CPU and RPU runs
+// take env's lookahead and sampling.
+func runISPC(suite *uservices.Suite, requests int, seed int64, env core.Env) {
+	opts := core.DefaultOptions()
+	opts.PrepLookahead, opts.Sample = env.Lookahead, env.Sample
 	fmt.Println("§VI-A: SPMD-on-SIMD (ISPC-style, 8 AVX lanes) vs RPU, relative to scalar CPU")
 	fmt.Printf("%-18s %12s %12s %12s %12s %10s\n",
 		"service", "ispc req/J", "ispc lat", "rpu req/J", "rpu lat", "ispc eff")
 	for _, svc := range suite.Services {
 		r := rand.New(rand.NewSource(seed))
 		reqs := svc.Generate(r, requests)
-		cpu, err := core.RunService(core.ArchCPU, svc, reqs, core.DefaultOptions())
+		cpu, err := core.RunService(core.ArchCPU, svc, reqs, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rpu, err := core.RunService(core.ArchRPU, svc, reqs, core.DefaultOptions())
+		rpu, err := core.RunService(core.ArchRPU, svc, reqs, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

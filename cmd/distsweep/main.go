@@ -16,21 +16,18 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"simr/internal/core"
 	"simr/internal/dist"
 	"simr/internal/distflag"
+	"simr/internal/envflag"
 	"simr/internal/obsflag"
 	"simr/internal/prof"
-	"simr/internal/sampleflag"
 )
 
 func main() {
@@ -39,21 +36,14 @@ func main() {
 	requests := flag.Int("requests", core.DefaultRequests, "requests per service (paper: 2400)")
 	seed := flag.Int64("seed", 42, "workload random seed")
 	gpu := flag.Bool("gpu", false, "include the GPU design point (chip study)")
-	lookahead := flag.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	envFlags := envflag.Add(flag.CommandLine, envflag.Lookahead|envflag.Sample)
 	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
 	distFlags := distflag.Add(flag.CommandLine)
 	flag.Parse()
-	core.SetPrepLookahead(*lookahead)
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
-
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	env, stopSig := envFlags.Env()
 	defer stopSig()
-	core.SetInterrupt(ctx)
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -63,7 +53,7 @@ func main() {
 	obsFlags.Setup()
 	defer obsFlags.Close()
 
-	if ran, err := distFlags.HandleWorker(ctx); ran {
+	if ran, err := distFlags.HandleWorker(env.Ctx); ran {
 		if err != nil {
 			obsFlags.Close()
 			stopProf()
@@ -92,7 +82,7 @@ func main() {
 		})
 	}
 
-	res, err := distFlags.Run(ctx, spec)
+	res, err := distFlags.Run(env, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

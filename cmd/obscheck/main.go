@@ -3,8 +3,12 @@
 // (scopes present, every name non-empty, every counter non-negative)
 // and/or a -trace Chrome-trace timeline (a JSON array of events, each
 // carrying ph, ts and name — the shape chrome://tracing and Perfetto
-// load). CI runs it against the bench-smoke outputs; exit status 0
+// load). CI runs it against small study runs' outputs; exit status 0
 // means the files are well-formed.
+//
+// The BENCH_*.json checks below cover the frozen single-shot
+// trajectories the committed BENCH files record; perfbench is the
+// benchmark that measures the repository now.
 //
 // It also validates BENCH_sampling.json trajectories (-sampling):
 // each entry must be self-describing (gomaxprocs, sample config),
@@ -101,10 +105,10 @@ func main() {
 	}
 }
 
-// checkDist enforces the BENCH_dist.json schema benchjson writes: an
-// array of distributed-sweep entries, each wire-versioned and carrying
-// ascending worker counts with positive wall clocks, self-consistent
-// speedups and byte-identical outputs. When a dispatcher metrics
+// checkDist enforces the frozen BENCH_dist.json schema: an array of
+// distributed-sweep entries, each wire-versioned and carrying ascending
+// worker counts with positive wall clocks, self-consistent speedups
+// and byte-identical outputs. When a dispatcher metrics
 // snapshot rides along, its queue counters must be present and
 // account for every task.
 func checkDist(path string) error {
@@ -205,8 +209,8 @@ func checkDist(path string) error {
 	return nil
 }
 
-// checkBatchCache enforces the BENCH_batchcache.json schema benchjson
-// writes: an array of cache-configuration timing entries whose speedup
+// checkBatchCache enforces the frozen BENCH_batchcache.json schema: an
+// array of cache-configuration timing entries whose speedup
 // ratios match their wall clocks and whose unsampled runs rendered
 // byte-identically.
 func checkBatchCache(path string) error {
@@ -275,8 +279,8 @@ func checkBatchCache(path string) error {
 	return nil
 }
 
-// checkQueuesim enforces the BENCH_queuesim.json schema benchjson
-// writes: an array of tail-at-scale sweep entries, each with ordered
+// checkQueuesim enforces the frozen BENCH_queuesim.json schema: an
+// array of tail-at-scale sweep entries, each with ordered
 // percentiles and consistent completion accounting per point.
 func checkQueuesim(path string) error {
 	raw, err := os.ReadFile(path)
@@ -370,11 +374,11 @@ func checkQueuesim(path string) error {
 	return nil
 }
 
-// checkGraphs enforces the BENCH_graphs.json schema benchjson writes:
-// an array of service-graph saturation entries, each carrying uniquely
-// named graphs whose saturation loads are positive, whose speedup is
-// exactly the recorded RPU/CPU ratio, and whose baseline percentiles
-// are finite and non-negative.
+// checkGraphs enforces the frozen BENCH_graphs.json schema: an array of
+// service-graph saturation entries, each carrying uniquely named graphs
+// whose saturation loads are positive, whose speedup is exactly the
+// recorded RPU/CPU ratio, and whose baseline percentiles are finite and
+// non-negative.
 func checkGraphs(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -513,8 +517,8 @@ func checkMetrics(path string) error {
 	return nil
 }
 
-// checkSampling enforces the BENCH_sampling.json schema benchjson
-// writes: an array of self-describing sampled-vs-full entries.
+// checkSampling enforces the frozen BENCH_sampling.json schema: an
+// array of self-describing sampled-vs-full entries.
 func checkSampling(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {

@@ -11,21 +11,18 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"simr/internal/core"
 	"simr/internal/dist"
 	"simr/internal/distflag"
+	"simr/internal/envflag"
 	"simr/internal/obsflag"
 	"simr/internal/prof"
-	"simr/internal/sampleflag"
 	"simr/internal/uservices"
 )
 
@@ -33,22 +30,14 @@ func main() {
 	bench := flag.Bool("bench", false, "time the chip-study sweep sequential vs parallel instead of printing Figure 5")
 	requests := flag.Int("requests", 240, "requests per service for -bench")
 	seed := flag.Int64("seed", 42, "workload seed for -bench")
-	parallel := flag.Int("parallel", 0, "worker goroutines for -bench (0 = one per CPU)")
-	lookahead := flag.Int("lookahead", core.PrepAuto, "intra-run prep pipeline depth in batches (-1 = auto from spare CPUs, 0 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	envFlags := envflag.Add(flag.CommandLine, envflag.Parallel|envflag.Lookahead|envflag.Sample)
 	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
 	distFlags := distflag.Add(flag.CommandLine)
 	flag.Parse()
-	core.SetPrepLookahead(*lookahead)
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
-
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	env, stopSig := envFlags.Env()
 	defer stopSig()
-	core.SetInterrupt(ctx)
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -58,7 +47,7 @@ func main() {
 	obsFlags.Setup()
 	defer obsFlags.Close()
 
-	if ran, err := distFlags.HandleWorker(ctx); ran {
+	if ran, err := distFlags.HandleWorker(env.Ctx); ran {
 		if err != nil {
 			obsFlags.Close()
 			stopProf()
@@ -68,7 +57,7 @@ func main() {
 	}
 
 	if *bench {
-		benchSweep(ctx, distFlags, *requests, *seed, *parallel)
+		benchSweep(env, distFlags, *requests, *seed)
 		return
 	}
 	if distFlags.Active() {
@@ -80,14 +69,16 @@ func main() {
 	fmt.Println("\n(paper: up to 256 threads/socket with DDR5, 512 with DDR6/HBM)")
 }
 
-// benchSweep runs the chip study twice — one worker, then either the
-// requested goroutine pool or (with -dist) the dispatcher tier —
-// verifies the rendered figures match byte for byte, and reports the
-// wall-clock ratio.
-func benchSweep(ctx context.Context, distFlags *distflag.Flags, requests int, seed int64, parallel int) {
-	if parallel <= 0 {
-		parallel = core.DefaultWorkers()
+// benchSweep runs the chip study twice — one worker, then either env's
+// goroutine pool or (with -dist) the dispatcher tier — verifies the
+// rendered figures match byte for byte, and reports the wall-clock
+// ratio.
+func benchSweep(env core.Env, distFlags *distflag.Flags, requests int, seed int64) {
+	if env.Workers <= 0 {
+		env.Workers = core.DefaultWorkers()
 	}
+	seqEnv := env
+	seqEnv.Workers = 1
 	suite := uservices.NewSuite()
 
 	render := func(rows []core.ChipRow) []byte {
@@ -101,7 +92,7 @@ func benchSweep(ctx context.Context, distFlags *distflag.Flags, requests int, se
 	}
 
 	t0 := time.Now()
-	seqRows, err := core.ChipStudy(suite.Services, requests, seed, false, 1)
+	seqRows, err := core.ChipStudy(suite.Services, requests, seed, false, seqEnv)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -116,18 +107,18 @@ func benchSweep(ctx context.Context, distFlags *distflag.Flags, requests int, se
 		spec := dist.SweepSpec{Studies: []dist.StudySpec{{
 			Kind: dist.StudyChip, Requests: requests, Seed: seed,
 		}}}
-		res, err := distFlags.Run(ctx, spec)
+		res, err := distFlags.Run(env, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
 		parRows = res.Studies[0].Chip
 		parTag = fmt.Sprintf("dist (%s)", distFlags.Mode())
 	} else {
-		parRows, err = core.ChipStudy(suite.Services, requests, seed, false, parallel)
+		parRows, err = core.ChipStudy(suite.Services, requests, seed, false, env)
 		if err != nil {
 			log.Fatal(err)
 		}
-		parTag = fmt.Sprintf("parallel (%d workers)", parallel)
+		parTag = fmt.Sprintf("parallel (%d workers)", env.Workers)
 	}
 	parDur := time.Since(t1)
 

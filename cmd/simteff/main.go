@@ -15,9 +15,9 @@ import (
 	"os"
 
 	"simr/internal/core"
+	"simr/internal/envflag"
 	"simr/internal/obsflag"
 	"simr/internal/prof"
-	"simr/internal/sampleflag"
 	"simr/internal/uservices"
 )
 
@@ -25,15 +25,17 @@ func main() {
 	requests := flag.Int("requests", core.DefaultRequests, "requests per service (paper: 2400)")
 	seed := flag.Int64("seed", 42, "workload random seed")
 	fig := flag.Int("fig", 11, "figure to print: 4 (naive only) or 11 (all policies)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the sweep (0 = one per CPU, 1 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	envFlags := envflag.Add(flag.CommandLine, envflag.Parallel)
 	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
 	flag.Parse()
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
+	if *fig != 4 && *fig != 11 {
+		fmt.Fprintf(os.Stderr, "simteff: -fig %d: want 4 or 11\n", *fig)
+		os.Exit(2)
 	}
+	env, stopSig := envFlags.Env()
+	defer stopSig()
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		log.Fatal(err)
@@ -43,13 +45,12 @@ func main() {
 	defer obsFlags.Close()
 
 	suite := uservices.NewSuite()
-	rows, err := core.EfficiencyStudy(suite.Services, *requests, *seed, *parallel)
+	rows, err := core.EfficiencyStudy(suite.Services, *requests, *seed, env)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	switch *fig {
-	case 4:
+	if *fig == 4 {
 		fmt.Println("Figure 4: SIMT control efficiency of naive batching (batch size 32)")
 		fmt.Printf("%-18s %8s\n", "service", "naive")
 		sum := 0.0
@@ -58,11 +59,9 @@ func main() {
 			sum += r.Naive
 		}
 		fmt.Printf("%-18s %7.1f%%  (paper: ~68%% average)\n", "average", 100*sum/float64(len(rows)))
-	case 11:
-		fmt.Println("Figure 11: SIMT control efficiency per batching policy (batch size 32)")
-		core.WriteEfficiency(os.Stdout, rows)
-		fmt.Println("(paper: 92% ideal stack-based, 91% MinSP-PC with per-API + per-argument-size)")
-	default:
-		log.Fatalf("unknown figure %d", *fig)
+		return
 	}
+	fmt.Println("Figure 11: SIMT control efficiency per batching policy (batch size 32)")
+	core.WriteEfficiency(os.Stdout, rows)
+	fmt.Println("(paper: 92% ideal stack-based, 91% MinSP-PC with per-API + per-argument-size)")
 }

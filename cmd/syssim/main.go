@@ -9,21 +9,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"simr/internal/core"
+	"simr/internal/envflag"
 	"simr/internal/obs"
 	"simr/internal/obsflag"
 	"simr/internal/prof"
 	"simr/internal/queuesim"
-	"simr/internal/sampleflag"
 )
 
 func main() {
@@ -32,7 +28,6 @@ func main() {
 	maxQPS := flag.Float64("max", 70000, "highest offered load")
 	points := flag.Int("points", 12, "number of load points")
 	composePost := flag.Bool("composepost", false, "sweep the Figure 3 compose-post path instead of the User path")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the sweep (0 = one per CPU, 1 = sequential)")
 	tail := flag.Bool("tail", false, "sweep the tail-at-scale engine (p50/p99/p999, overload policies) instead of the closure simulator")
 	graphName := flag.String("graph", "", "tail mode: service graph to sweep — a bundled name (social|composepost|hotel|media|iot) or a GraphSpec .json file (implies -tail)")
 	legacy := flag.Bool("legacy", false, "tail mode: run the retired hand-coded social-network dispatch instead of the spec executor (byte-identity oracle)")
@@ -49,17 +44,11 @@ func main() {
 	schedName := flag.String("sched", "calendar", "tail mode: event scheduler (calendar|heap); outputs are byte-identical, only speed differs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	envFlags := envflag.Add(flag.CommandLine, envflag.Parallel)
 	obsFlags := obsflag.Add(flag.CommandLine)
-	sampleFlags := sampleflag.Add(flag.CommandLine)
 	flag.Parse()
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
-	// SIGINT/SIGTERM cancel the sweep between cells so profiles and
-	// metrics snapshots still flush.
-	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	env, stopSig := envFlags.Env()
 	defer stopSig()
-	core.SetInterrupt(ctx)
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		log.Fatal(err)
@@ -90,7 +79,7 @@ func main() {
 	}
 
 	if *composePost {
-		if err := sweepComposePost(*seconds, *seed, qps, *parallel); err != nil {
+		if err := sweepComposePost(*seconds, *seed, qps, env); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -122,7 +111,7 @@ func main() {
 			}
 			tc.graph = spec
 		}
-		if err := sweepTail(tc, qps, *parallel); err != nil {
+		if err := sweepTail(tc, qps, env); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -145,7 +134,7 @@ func main() {
 	// cells return formatted rows and printing stays in input order,
 	// keeping the output byte-identical to the sequential loop.
 	np := len(qps)
-	rows, err := core.RunCells(len(modes)*np, *parallel, func(i int) (string, error) {
+	rows, err := core.RunCells(len(modes)*np, env, func(i int) (string, error) {
 		mode := modes[i/np]
 		cfg := queuesim.DefaultConfig()
 		cfg.QPS = qps[i%np]
@@ -209,10 +198,9 @@ type tailSweepConfig struct {
 // same three modes, Scale-times the machines, p50/p99/p999 and the
 // overload-policy counters per load point, plus the total simulated
 // event count. Every column is simulation output, so rows stay
-// byte-identical at any -parallel; wall-clock events/sec (the arena
-// engine's figure of merit) is measured by cmd/benchjson instead,
-// where per-run wall time is expected trajectory data.
-func sweepTail(tc tailSweepConfig, qps []float64, parallel int) error {
+// byte-identical at any -parallel; wall-clock cost per event is
+// measured by perfbench's tail-policy workload instead.
+func sweepTail(tc tailSweepConfig, qps []float64, env core.Env) error {
 	if tc.graph != nil {
 		fmt.Printf("Service graph %q at %.0fx scale (tail-at-scale engine, %s arrivals)\n",
 			tc.graph.Name, tc.scale, tc.arrivals.Process)
@@ -236,7 +224,7 @@ func sweepTail(tc tailSweepConfig, qps []float64, parallel int) error {
 		modes = modes[:1]
 	}
 	np := len(qps)
-	rows, err := core.RunCells(len(modes)*np, parallel, func(i int) (string, error) {
+	rows, err := core.RunCells(len(modes)*np, env, func(i int) (string, error) {
 		mode := modes[i/np]
 		cfg := queuesim.TailConfig{Config: queuesim.DefaultConfig(),
 			Scale: tc.scale, Arrivals: tc.arrivals, Policy: tc.policy,
@@ -294,7 +282,7 @@ func sweepTail(tc tailSweepConfig, qps []float64, parallel int) error {
 // sweepComposePost runs the compose-post fan-out/join scenario on the
 // same worker pool and in the same input-order print discipline as the
 // Figure 22 sweep.
-func sweepComposePost(seconds float64, seed int64, qps []float64, parallel int) error {
+func sweepComposePost(seconds float64, seed int64, qps []float64, env core.Env) error {
 	fmt.Println("Compose-post path (Figure 3): fan-out to uniqueid/urlshort/text/usertag, join, persist")
 	modes := []struct {
 		name string
@@ -304,7 +292,7 @@ func sweepComposePost(seconds float64, seed int64, qps []float64, parallel int) 
 		{"rpu", true},
 	}
 	np := len(qps)
-	rows, err := core.RunCells(len(modes)*np, parallel, func(i int) (string, error) {
+	rows, err := core.RunCells(len(modes)*np, env, func(i int) (string, error) {
 		cfg := queuesim.DefaultComposePost()
 		cfg.QPS = qps[i%np]
 		cfg.Seconds = seconds

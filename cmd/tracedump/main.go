@@ -18,7 +18,6 @@ import (
 
 	"simr/internal/alloc"
 	"simr/internal/mem"
-	"simr/internal/sampleflag"
 	"simr/internal/simt"
 	"simr/internal/uservices"
 )
@@ -30,11 +29,7 @@ func main() {
 	static := flag.Bool("static", false, "print the static program listing (disassembly) instead of traces")
 	limit := flag.Int("limit", 64, "max instructions to print")
 	seed := flag.Int64("seed", 1, "workload seed")
-	sampleFlags := sampleflag.Add(flag.CommandLine)
 	flag.Parse()
-	if _, err := sampleFlags.Setup(); err != nil {
-		log.Fatal(err)
-	}
 
 	suite := uservices.NewSuite()
 	svc := suite.Get(*service)

@@ -26,7 +26,8 @@ func main() {
 	svc := suite.Get(*name)
 	reqs := svc.Generate(rand.New(rand.NewSource(*seed)), *requests)
 
-	cpu, rows, err := simr.BatchSweep(svc, reqs, []int{32, 16, 8, 4}, *parallel)
+	env := simr.Env{Workers: *parallel, Lookahead: simr.PrepAuto}
+	cpu, rows, err := simr.BatchSweep(svc, reqs, []int{32, 16, 8, 4}, env)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func main() {
 
 	// Allocator ablation at the tuned batch size, one cell per policy.
 	policies := []alloc.Policy{alloc.PolicySIMR, alloc.PolicyCPU}
-	abl, err := simr.RunCells(len(policies), *parallel, func(i int) (*simr.Result, error) {
+	abl, err := simr.RunCells(len(policies), env, func(i int) (*simr.Result, error) {
 		opts := simr.DefaultOptions()
 		opts.AllocPolicy = policies[i]
 		return simr.RunService(simr.ArchRPU, svc, reqs, opts)

@@ -19,7 +19,7 @@ func main() {
 	flag.Parse()
 
 	suite := simr.NewSuite()
-	rows, err := simr.ChipStudy(suite.Services, *requests, *seed, false, *parallel)
+	rows, err := simr.ChipStudy(suite.Services, *requests, *seed, false, simr.Env{Workers: *parallel, Lookahead: simr.PrepAuto})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,25 +14,6 @@ import (
 	"simr/internal/uservices"
 )
 
-// withFreshBatchStreams runs fn with the sweep-level batch-stream
-// cache disabled so every cell prepares its batches from scratch (the
-// fresh-prep oracle).
-func withFreshBatchStreams(t *testing.T, fn func()) {
-	t.Helper()
-	disableBatchCache = true
-	defer func() { disableBatchCache = false }()
-	fn()
-}
-
-// withLookahead pins the prep lookahead for fn and restores automatic
-// derivation afterwards.
-func withLookahead(t *testing.T, la int, fn func()) {
-	t.Helper()
-	SetPrepLookahead(la)
-	defer SetPrepLookahead(-1)
-	fn()
-}
-
 // TestBatchCacheStudyDeterminism is the tentpole guarantee of the
 // batch-stream cache: memoized sweeps render byte-identically to
 // fresh-preparation sweeps at every (workers, lookahead) combination —
@@ -54,54 +35,44 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			for _, la := range []int{0, 1, 4} {
-				withLookahead(t, la, func() {
-					// withGPU exercises cross-architecture stream
-					// sharing: RPU and GPU cells have identical prep
-					// keys and must serve each other's streams.
-					cached, err := ChipStudy(svcs, 32, 3, true, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var fresh []ChipRow
-					withFreshBatchStreams(t, func() {
-						fresh, err = ChipStudy(svcs, 32, 3, true, workers)
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(render(cached), render(fresh)) {
-						t.Fatalf("workers=%d lookahead=%d: memoized chip study differs from fresh preparation", workers, la)
-					}
-				})
+				env := Env{Workers: workers, Lookahead: la}
+				// withGPU exercises cross-architecture stream sharing:
+				// RPU and GPU cells have identical prep keys and must
+				// serve each other's streams.
+				cached, err := ChipStudy(svcs, 32, 3, true, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := ChipStudy(svcs, 32, 3, true, freshBatches(env))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(render(cached), render(fresh)) {
+					t.Fatalf("workers=%d lookahead=%d: memoized chip study differs from fresh preparation", workers, la)
+				}
 			}
 		}
 	})
 
 	t.Run("sensitivity", func(t *testing.T) {
 		for _, la := range []int{0, 4} {
-			withLookahead(t, la, func() {
-				names := []string{"urlshort", "memc"}
-				cached := sensReport(t, suite, names, 64, 3, 4)
-				var fresh string
-				withFreshBatchStreams(t, func() {
-					fresh = sensReport(t, suite, names, 64, 3, 4)
-				})
-				if cached != fresh {
-					t.Fatalf("lookahead=%d: memoized sensitivity report differs from fresh preparation", la)
-				}
-			})
+			env := Env{Workers: 4, Lookahead: la}
+			names := []string{"urlshort", "memc"}
+			cached := sensReport(t, suite, names, 64, 3, env)
+			fresh := sensReport(t, suite, names, 64, 3, freshBatches(env))
+			if cached != fresh {
+				t.Fatalf("lookahead=%d: memoized sensitivity report differs from fresh preparation", la)
+			}
 		}
 	})
 
 	t.Run("efficiency", func(t *testing.T) {
-		cached, err := EfficiencyStudy(svcs, 64, 7, 4)
+		env := testEnv(4)
+		cached, err := EfficiencyStudy(svcs, 64, 7, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fresh []EffRow
-		withFreshBatchStreams(t, func() {
-			fresh, err = EfficiencyStudy(svcs, 64, 7, 4)
-		})
+		fresh, err := EfficiencyStudy(svcs, 64, 7, freshBatches(env))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,23 +87,27 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 			WriteTimingSweep(&buf, rows)
 			return buf.Bytes()
 		}
-		withLookahead(t, 1, func() {
-			cached, err := TimingSweep(svcs, 32, 3, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var fresh []TimingRow
-			withFreshBatchStreams(t, func() {
-				fresh, err = TimingSweep(svcs, 32, 3, 4)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(render(cached), render(fresh)) {
-				t.Fatal("memoized timing sweep differs from fresh preparation")
-			}
-		})
+		env := Env{Workers: 4, Lookahead: 1}
+		cached, err := TimingSweep(svcs, 32, 3, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := TimingSweep(svcs, 32, 3, freshBatches(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(render(cached), render(fresh)) {
+			t.Fatal("memoized timing sweep differs from fresh preparation")
+		}
 	})
+}
+
+// freshBatches returns env with the sweep-level batch-stream cache
+// turned off, so every cell prepares its batches from scratch (the
+// fresh-prep oracle).
+func freshBatches(env Env) Env {
+	env.freshBatches = true
+	return env
 }
 
 // TestBatchCacheAdmission checks each study's cell plan against the
@@ -144,7 +119,8 @@ func TestBatchCacheStudyDeterminism(t *testing.T) {
 // the first is served from the cache.
 func TestBatchCacheAdmission(t *testing.T) {
 	suite := uservices.NewSuite()
-	const requests, seed, workers = 64, 3, 2
+	const requests, seed = 64, 3
+	env := testEnv(2)
 	for _, name := range []string{"memc", "uniqueid"} {
 		svc := suite.Get(name)
 		svcs := []*uservices.Service{svc}
@@ -169,14 +145,14 @@ func TestBatchCacheAdmission(t *testing.T) {
 			run          func() error
 			hits, misses uint64
 		}{
-			{"chip", func() error { _, err := ChipStudy(svcs, requests, seed, false, workers); return err }, 0, 0},
-			{"chip-gpu", func() error { _, err := ChipStudy(svcs, requests, seed, true, workers); return err }, nb, nb},
-			{"timing", func() error { _, err := TimingSweep(svcs, requests, seed, workers); return err }, 7 * nb, nb},
-			{"sensitivity", func() error { _, err := SensitivityStudy(svcs, requests, seed, workers); return err }, 3 * nb, nb},
-			{"efficiency", func() error { _, err := EfficiencyStudy(svcs, requests, seed, workers); return err }, effLookups - effMisses, effMisses},
-			{"mpki", func() error { _, err := MPKIStudy(svcs, requests, seed, workers); return err }, 0, 0},
-			{"multibatch", func() error { _, err := MultiBatchSweep(svcs, seed, workers); return err }, 0, 0},
-			{"batchsweep", func() error { _, _, err := BatchSweep(svc, reqs, []int{32, 8}, workers); return err }, 0, 0},
+			{"chip", func() error { _, err := ChipStudy(svcs, requests, seed, false, env); return err }, 0, 0},
+			{"chip-gpu", func() error { _, err := ChipStudy(svcs, requests, seed, true, env); return err }, nb, nb},
+			{"timing", func() error { _, err := TimingSweep(svcs, requests, seed, env); return err }, 7 * nb, nb},
+			{"sensitivity", func() error { _, err := SensitivityStudy(svcs, requests, seed, env); return err }, 3 * nb, nb},
+			{"efficiency", func() error { _, err := EfficiencyStudy(svcs, requests, seed, env); return err }, effLookups - effMisses, effMisses},
+			{"mpki", func() error { _, err := MPKIStudy(svcs, requests, seed, env); return err }, 0, 0},
+			{"multibatch", func() error { _, err := MultiBatchSweep(svcs, seed, env); return err }, 0, 0},
+			{"batchsweep", func() error { _, _, err := BatchSweep(svc, reqs, []int{32, 8}, env); return err }, 0, 0},
 		}
 		for _, c := range cases {
 			reg := obs.NewRegistry()

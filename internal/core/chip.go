@@ -66,9 +66,9 @@ type Options struct {
 	// Sample.Warmup units before each timed one run a functional
 	// warmup pass, and the rest are skipped, with aggregate statistics
 	// extrapolated under reported confidence intervals. The zero value
-	// defers to the process-wide default installed by sample.SetDefault
-	// (the drivers' -sample flag); Period 1 times every unit and is
-	// bit-identical to the unsampled path.
+	// times every unit; so does Period 1, which runs the sampler and is
+	// bit-identical to the unsampled path. The study drivers copy
+	// Env.Sample here.
 	Sample sample.Config
 }
 
@@ -178,7 +178,7 @@ func prepSignature(arch Arch, svc *uservices.Service, opts *Options) []byte {
 // and SMT-8 runs, and the concatenation of the formed batches for
 // RPU/GPU. Units the run's sampler skips are never read.
 func planRun(p *trace.Plan, arch Arch, svc *uservices.Service, reqs []uservices.Request, opts *Options) {
-	cfg := opts.sampleConfig()
+	cfg := opts.Sample
 	switch arch {
 	case ArchCPU:
 		sg := alloc.NewStackGroup(0, 1, false)
@@ -246,7 +246,7 @@ func runScalar(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts
 
 	sg := alloc.NewStackGroup(0, 1, false)
 	la := opts.lookahead()
-	sp := newRunSampler(opts.sampleConfig(), len(reqs), len(reqs))
+	sp := newRunSampler(opts.Sample, len(reqs), len(reqs))
 	type cpuSlot struct {
 		in *trace.Interp
 		ub uopBuilder
@@ -315,7 +315,7 @@ func runSMT(arch Arch, svc *uservices.Service, reqs []uservices.Request, opts Op
 		uops    []pipeline.Uop
 		n       int
 	}
-	sp := newRunSampler(opts.sampleConfig(), groups, len(reqs))
+	sp := newRunSampler(opts.Sample, groups, len(reqs))
 	slots := make([]smtSlot, la+1)
 	for i := range slots {
 		slots[i].in = trace.NewInterp(svc, opts.Traces)
@@ -418,7 +418,7 @@ func runBatched(arch Arch, svc *uservices.Service, reqs []uservices.Request, opt
 		stream *trace.BatchStream
 		build  func() (*trace.BatchStream, error)
 	}
-	sp := newRunSampler(opts.sampleConfig(), len(batches), len(reqs))
+	sp := newRunSampler(opts.Sample, len(batches), len(reqs))
 	slots := make([]rpuSlot, la+1)
 	for i := range slots {
 		sl := &slots[i]

@@ -130,7 +130,7 @@ func TestNaivePolicyLowersEfficiency(t *testing.T) {
 
 func TestEfficiencyStudyOrdering(t *testing.T) {
 	suite := uservices.NewSuite()
-	rows, err := EfficiencyStudy(suite.Services, 320, 42, 1)
+	rows, err := EfficiencyStudy(suite.Services, 320, 42, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEfficiencyStudyOrdering(t *testing.T) {
 
 func TestMPKIStudyLeafTuning(t *testing.T) {
 	suite := uservices.NewSuite()
-	rows, err := MPKIStudy(suite.Services, 192, 42, 1)
+	rows, err := MPKIStudy(suite.Services, 192, 42, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMPKIStudyLeafTuning(t *testing.T) {
 
 func TestSensitivityStudyRuns(t *testing.T) {
 	suite := uservices.NewSuite()
-	out := sensReport(t, suite, []string{"memc", "uniqueid"}, 96, 42, 1)
+	out := sensReport(t, suite, []string{"memc", "uniqueid"}, 96, 42, testEnv(1))
 	for _, want := range []string{"sub-batch", "atomics", "allocator", "majority", "MinSP-PC", "interleaving"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("sensitivity output missing %q", want)
@@ -201,7 +201,7 @@ func TestFig5Table(t *testing.T) {
 
 func TestChipStudyWritersProduceOutput(t *testing.T) {
 	suite := uservices.NewSuite()
-	rows, err := ChipStudy(suite.Services, 64, 42, false, 1)
+	rows, err := ChipStudy(suite.Services, 64, 42, false, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestMultiBatchStudy(t *testing.T) {
 
 func TestWriteJSON(t *testing.T) {
 	suite := uservices.NewSuite()
-	rows, err := ChipStudy(suite.Services, 32, 5, false, 1)
+	rows, err := ChipStudy(suite.Services, 32, 5, false, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestPerServiceEfficiencyBands(t *testing.T) {
 		"user":             {0.80, 1.0},
 	}
 	suite := uservices.NewSuite()
-	rows, err := EfficiencyStudy(suite.Services, 640, 42, 1)
+	rows, err := EfficiencyStudy(suite.Services, 640, 42, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestObsStudyCounters(t *testing.T) {
 	defer obs.Disable()
 
 	suite := uservices.NewSuite()
-	if _, err := ChipStudy(suite.Services, 8, 7, false, 2); err != nil {
+	if _, err := ChipStudy(suite.Services, 8, 7, false, testEnv(2)); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -80,7 +80,7 @@ func TestObsStudyCounters(t *testing.T) {
 func TestObsDoesNotPerturbStudy(t *testing.T) {
 	suite := uservices.NewSuite()
 	run := func() []ChipRow {
-		rows, err := ChipStudy(suite.Services, 8, 7, false, 2)
+		rows, err := ChipStudy(suite.Services, 8, 7, false, testEnv(2))
 		if err != nil {
 			t.Fatal(err)
 		}

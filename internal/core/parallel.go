@@ -15,51 +15,62 @@ import (
 	"sync/atomic"
 
 	"simr/internal/batch"
+	"simr/internal/sample"
 	"simr/internal/trace"
 	"simr/internal/uservices"
 )
 
-// DefaultWorkers is the worker count used when a study is given
-// workers <= 0: one per available CPU.
+// DefaultWorkers is the worker count of an Env with Workers <= 0: one
+// per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// interruptCtx is the process-wide cancellation context the drivers
-// install via SetInterrupt (SIGINT/SIGTERM). RunCells polls it between
-// cells, so a signal aborts a sweep at the next cell boundary instead
-// of truncating output mid-row, and partial distributed checkpoints
-// stay flushed.
-var interruptCtx atomic.Pointer[context.Context]
+// Env is the run environment every sweep entry point takes: the
+// context that cancels the sweep, how many cells run at once, how deep
+// each cell's prep pipeline looks ahead and how its timing simulation
+// samples. The zero value runs one worker per CPU with sequential prep,
+// full (unsampled) timing and no cancellation. Results are
+// byte-identical at any Workers and Lookahead.
+type Env struct {
+	// Ctx cancels the sweep at the next cell boundary (nil = never), so
+	// a signal aborts it without truncating output mid-row.
+	Ctx context.Context
+	// Workers bounds the cells run at once: <= 0 selects
+	// DefaultWorkers, 1 runs them inline with no goroutines.
+	Workers int
+	// Lookahead is each cell's prep-pipeline depth in batches (see
+	// Options.PrepLookahead): PrepAuto derives it from the CPUs the
+	// sweep's workers leave spare.
+	Lookahead int
+	// Sample is the sampled-simulation regime copied into every chip
+	// cell's Options.Sample; the zero value times every unit.
+	Sample sample.Config
 
-// SetInterrupt installs a cancellation context that every subsequent
-// RunCells invocation honors: when ctx is done, sweeps abort with
-// ctx.Err() at the next cell boundary. Drivers call it once with a
-// signal.NotifyContext; a nil ctx clears it.
-func SetInterrupt(ctx context.Context) {
-	if ctx == nil {
-		interruptCtx.Store(nil)
-		return
-	}
-	interruptCtx.Store(&ctx)
+	// freshTraces and freshBatches turn off the sweep's scalar-trace
+	// cache (and request-stream sharing) and its batch-stream cache:
+	// the determinism tests compare cached sweeps against these
+	// fresh-preparation oracles byte for byte.
+	freshTraces, freshBatches bool
 }
 
-// interrupted returns the installed context's error, or nil when no
-// context is installed or it is still live.
-func interrupted() error {
-	if p := interruptCtx.Load(); p != nil {
-		return (*p).Err()
+// err returns the error that cancelled the environment's context, or
+// nil while the sweep may go on.
+func (e Env) err() error {
+	if e.Ctx == nil {
+		return nil
 	}
-	return nil
+	return e.Ctx.Err()
 }
 
-// RunCells evaluates fn(0..n-1) on a pool of workers and returns the
-// results in input order. workers <= 0 selects DefaultWorkers;
-// workers == 1 runs inline with no goroutines (the sequential path).
-// On error the lowest-index error among completed cells is returned
-// and remaining cells are abandoned.
-func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+// RunCells evaluates fn(0..n-1) on env.Workers workers and returns
+// the results in input order. On error the lowest-index error among
+// completed cells is returned and remaining cells are abandoned; once
+// env.Ctx is done no further cell starts and RunCells returns its
+// error.
+func RunCells[T any](n int, env Env, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	workers := env.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
@@ -72,7 +83,7 @@ func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := interrupted(); err != nil {
+			if err := env.err(); err != nil {
 				return nil, err
 			}
 			t0 := po.clock()
@@ -105,7 +116,7 @@ func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 				}
 				t0 := po.clock()
 				var v T
-				err := interrupted()
+				err := env.err()
 				if err == nil {
 					v, err = fn(i)
 				}
@@ -153,16 +164,6 @@ func checkRequests(requests int) error {
 	return nil
 }
 
-// disableTraceCache turns off trace caching (and request-stream
-// sharing) for the whole package; the determinism tests flip it to
-// compare cached sweeps against fresh interpretation byte for byte.
-var disableTraceCache bool
-
-// disableBatchCache turns off batch-stream caching for the whole
-// package; the determinism tests flip it to compare memoized sweeps
-// against fresh preparation byte for byte.
-var disableBatchCache bool
-
 // prepCell places one cell of a sweep: the index of the service it
 // runs, its prep signature (nil when the cell never consults the batch
 // cache; see prepSignature) and plan, which enumerates the cell's
@@ -191,6 +192,7 @@ type prepCell struct {
 // traces the plan reads at least twice; the rest are interpreted into
 // the reading slot's own buffers.
 type sweepCaches struct {
+	env    Env
 	svcs   []*uservices.Service
 	gen    func(*uservices.Service) []uservices.Request
 	cells  []prepCell
@@ -210,9 +212,10 @@ type svcState struct {
 }
 
 // newSweepCaches builds the per-service caches for a sweep of the
-// given cells; gen produces a service's request stream.
-func newSweepCaches(svcs []*uservices.Service, gen func(*uservices.Service) []uservices.Request, cells []prepCell) *sweepCaches {
+// given cells run in env; gen produces a service's request stream.
+func newSweepCaches(env Env, svcs []*uservices.Service, gen func(*uservices.Service) []uservices.Request, cells []prepCell) *sweepCaches {
 	sw := &sweepCaches{
+		env:    env,
 		svcs:   svcs,
 		gen:    gen,
 		cells:  cells,
@@ -247,19 +250,19 @@ func newSweepCaches(svcs []*uservices.Service, gen func(*uservices.Service) []us
 // service's, when the plan admits the cell, else nil (which prepares
 // every batch fresh).
 func (sw *sweepCaches) batchCache(i int) *trace.BatchCache {
-	if disableBatchCache || !sw.shared[i] {
+	if sw.env.freshBatches || !sw.shared[i] {
 		return nil
 	}
 	return sw.state[sw.cells[i].svc].batches
 }
 
-// env returns cell i's environment, generating its service's request
+// cell returns cell i's environment, generating its service's request
 // stream and planning the service's trace cache on first use. The
 // stream is read-only for all cells.
-func (sw *sweepCaches) env(i int) cellEnv {
+func (sw *sweepCaches) cell(i int) cellEnv {
 	s := sw.cells[i].svc
 	e := cellEnv{svc: sw.svcs[s], batches: sw.batchCache(i)}
-	if disableTraceCache {
+	if sw.env.freshTraces {
 		e.reqs = sw.gen(e.svc)
 		return e
 	}
@@ -315,12 +318,12 @@ type cellEnv struct {
 	batches *trace.BatchCache
 }
 
-// sweepRun evaluates fn for every cell of sw's plan on a pool of
-// workers (see RunCells) and returns the results in plan order.
-func sweepRun[T any](sw *sweepCaches, workers int, fn func(i int, e cellEnv) (T, error)) ([]T, error) {
-	out, err := RunCells(len(sw.cells), workers, func(i int) (T, error) {
+// sweepRun evaluates fn for every cell of sw's plan in the sweep's
+// environment (see RunCells) and returns the results in plan order.
+func sweepRun[T any](sw *sweepCaches, fn func(i int, e cellEnv) (T, error)) ([]T, error) {
+	out, err := RunCells(len(sw.cells), sw.env, func(i int) (T, error) {
 		defer sw.done(sw.cells[i].svc)
-		return fn(i, sw.env(i))
+		return fn(i, sw.cell(i))
 	})
 	if err != nil {
 		sw.abort()
@@ -330,39 +333,41 @@ func sweepRun[T any](sw *sweepCaches, workers int, fn func(i int, e cellEnv) (T,
 }
 
 // serviceCell is one RunService call of a sweep: arch and opts applied
-// to service svc. runServiceCells fills in the caches and lookahead.
+// to service svc. runServiceCells fills in the caches, lookahead and
+// sampling.
 type serviceCell struct {
 	svc  int
 	arch Arch
 	opts Options
 }
 
-// runServiceCells runs the cells on a worker pool over the services'
-// shared request streams, admitting each cell to its service's batch
-// cache by prep signature, and returns the results in cell order.
-func runServiceCells(svcs []*uservices.Service, gen func(*uservices.Service) []uservices.Request, cells []serviceCell, workers int) ([]*Result, error) {
+// runServiceCells runs the cells in env over the services' shared
+// request streams, admitting each cell to its service's batch cache by
+// prep signature, and returns the results in cell order.
+func runServiceCells(svcs []*uservices.Service, gen func(*uservices.Service) []uservices.Request, cells []serviceCell, env Env) ([]*Result, error) {
+	la := env.prepBudget(len(cells))
 	plan := make([]prepCell, len(cells))
 	for i := range cells {
 		c := &cells[i]
+		c.opts.Sample, c.opts.PrepLookahead = env.Sample, la
 		svc := svcs[c.svc]
 		plan[i] = prepCell{svc: c.svc, sig: prepSignature(c.arch, svc, &c.opts),
 			plan: func(p *trace.Plan, reqs []uservices.Request) { planRun(p, c.arch, svc, reqs, &c.opts) }}
 	}
-	la := prepBudget(len(cells), workers)
-	return sweepRun(newSweepCaches(svcs, gen, plan), workers, func(i int, e cellEnv) (*Result, error) {
+	return sweepRun(newSweepCaches(env, svcs, gen, plan), func(i int, e cellEnv) (*Result, error) {
 		opts := cells[i].opts
-		opts.Traces, opts.BatchStreams, opts.PrepLookahead = e.traces, e.batches, la
+		opts.Traces, opts.BatchStreams = e.traces, e.batches
 		return RunService(cells[i].arch, e.svc, e.reqs, opts)
 	})
 }
 
 // ChipStudy runs the chip-level comparison behind Figures 10, 14, 19,
-// 20 and 21 on a worker pool: one cell per (service, architecture).
+// 20 and 21 in env: one cell per (service, architecture).
 // withGPU additionally runs the Ampere-like GPU model (§V-A3). Rows are
 // per service and independent, so a subset's rows are byte-identical
 // to the same services' rows in a full-suite run; the distributed
 // worker tier runs one-service tasks through it.
-func ChipStudy(svcs []*uservices.Service, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
+func ChipStudy(svcs []*uservices.Service, requests int, seed int64, withGPU bool, env Env) ([]ChipRow, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
 	}
@@ -377,7 +382,7 @@ func ChipStudy(svcs []*uservices.Service, requests int, seed int64, withGPU bool
 			cells = append(cells, serviceCell{svc: s, arch: a, opts: DefaultOptions()})
 		}
 	}
-	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, workers)
+	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, env)
 	if err != nil {
 		return nil, err
 	}
@@ -392,12 +397,12 @@ func ChipStudy(svcs []*uservices.Service, requests int, seed int64, withGPU bool
 	return rows, nil
 }
 
-// EfficiencyStudy reproduces Figures 4 and 11 on a worker pool: SIMT
+// EfficiencyStudy reproduces Figures 4 and 11 in env: SIMT
 // control efficiency per service under naive, per-API and
 // per-API+argument-size batching (MinSP-PC), plus the ideal
 // stack-based IPDOM reference, at batch 32. One cell per (service,
 // policy variant).
-func EfficiencyStudy(svcs []*uservices.Service, requests int, seed int64, workers int) ([]EffRow, error) {
+func EfficiencyStudy(svcs []*uservices.Service, requests int, seed int64, env Env) ([]EffRow, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
 	}
@@ -418,8 +423,8 @@ func EfficiencyStudy(svcs []*uservices.Service, requests int, seed int64, worker
 				plan: func(p *trace.Plan, reqs []uservices.Request) { planEff(p, reqs, v.policy, v.ipdom) }})
 		}
 	}
-	sw := newSweepCaches(svcs, studyRequests(requests, seed), plan)
-	cells, err := sweepRun(sw, workers, func(i int, e cellEnv) (float64, error) {
+	sw := newSweepCaches(env, svcs, studyRequests(requests, seed), plan)
+	cells, err := sweepRun(sw, func(i int, e cellEnv) (float64, error) {
 		v := variants[i%nv]
 		return efficiencyOf(e.svc, e.reqs, effBatch, v.policy, v.ipdom, e.traces, e.batches)
 	})
@@ -439,10 +444,10 @@ func EfficiencyStudy(svcs []*uservices.Service, requests int, seed int64, worker
 	return rows, nil
 }
 
-// MPKIStudy reproduces Figure 15 on a worker pool: L1 MPKI of the
+// MPKIStudy reproduces Figure 15 in env: L1 MPKI of the
 // single-threaded CPU (64 KB L1) vs the RPU (256 KB L1) at batch sizes
 // 32/16/8/4. One cell per (service, configuration).
-func MPKIStudy(svcs []*uservices.Service, requests int, seed int64, workers int) ([]MPKIRow, error) {
+func MPKIStudy(svcs []*uservices.Service, requests int, seed int64, env Env) ([]MPKIRow, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
 	}
@@ -457,7 +462,7 @@ func MPKIStudy(svcs []*uservices.Service, requests int, seed int64, workers int)
 			cells = append(cells, serviceCell{svc: s, arch: ArchRPU, opts: opts})
 		}
 	}
-	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, workers)
+	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, env)
 	if err != nil {
 		return nil, err
 	}
@@ -479,8 +484,8 @@ type BatchSweepRow struct {
 }
 
 // BatchSweep runs the CPU baseline plus an RPU run per batch size over
-// the same requests on a worker pool (the §III-B3 tuning space).
-func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, workers int) (*Result, []BatchSweepRow, error) {
+// the same requests in env (the §III-B3 tuning space).
+func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, env Env) (*Result, []BatchSweepRow, error) {
 	cells := []serviceCell{{arch: ArchCPU, opts: DefaultOptions()}}
 	for _, size := range sizes {
 		opts := DefaultOptions()
@@ -488,7 +493,7 @@ func BatchSweep(svc *uservices.Service, reqs []uservices.Request, sizes []int, w
 		cells = append(cells, serviceCell{arch: ArchRPU, opts: opts})
 	}
 	gen := func(*uservices.Service) []uservices.Request { return reqs }
-	res, err := runServiceCells([]*uservices.Service{svc}, gen, cells, workers)
+	res, err := runServiceCells([]*uservices.Service{svc}, gen, cells, env)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -506,9 +511,9 @@ type MultiBatchRow struct {
 	Res     *MultiBatchResult
 }
 
-// MultiBatchSweep runs MultiBatchStudy for every given service on a
-// worker pool (two tuned-size batches per service).
-func MultiBatchSweep(svcs []*uservices.Service, seed int64, workers int) ([]MultiBatchRow, error) {
+// MultiBatchSweep runs MultiBatchStudy for every given service in env
+// (two tuned-size batches per service).
+func MultiBatchSweep(svcs []*uservices.Service, seed int64, env Env) ([]MultiBatchRow, error) {
 	// One cell per service, whose two batches read distinct requests:
 	// nothing is read twice, so the cells plan nothing.
 	plan := make([]prepCell, len(svcs))
@@ -516,7 +521,7 @@ func MultiBatchSweep(svcs []*uservices.Service, seed int64, workers int) ([]Mult
 		plan[s].svc = s
 	}
 	gen := func(svc *uservices.Service) []uservices.Request { return genRequests(svc, 2*svc.TunedBatch, seed) }
-	cells, err := sweepRun(newSweepCaches(svcs, gen, plan), workers, func(_ int, e cellEnv) (*MultiBatchResult, error) {
+	cells, err := sweepRun(newSweepCaches(env, svcs, gen, plan), func(_ int, e cellEnv) (*MultiBatchResult, error) {
 		opts := DefaultOptions()
 		opts.Traces = e.traces
 		return MultiBatchStudy(e.svc, e.reqs, opts)

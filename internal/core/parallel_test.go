@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"simr/internal/uservices"
@@ -12,7 +14,7 @@ import (
 
 func TestRunCellsOrderAndBounds(t *testing.T) {
 	for _, workers := range []int{1, 3, 4, 100} {
-		got, err := RunCells(17, workers, func(i int) (int, error) { return i * i, nil })
+		got, err := RunCells(17, Env{Workers: workers}, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -25,7 +27,7 @@ func TestRunCellsOrderAndBounds(t *testing.T) {
 			}
 		}
 	}
-	if out, err := RunCells(0, 4, func(i int) (int, error) { return 0, nil }); err != nil || out != nil {
+	if out, err := RunCells(0, Env{Workers: 4}, func(i int) (int, error) { return 0, nil }); err != nil || out != nil {
 		t.Fatalf("n=0: got %v, %v", out, err)
 	}
 }
@@ -33,7 +35,7 @@ func TestRunCellsOrderAndBounds(t *testing.T) {
 func TestRunCellsError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		out, err := RunCells(32, workers, func(i int) (int, error) {
+		out, err := RunCells(32, Env{Workers: workers}, func(i int) (int, error) {
 			if i == 5 {
 				return 0, fmt.Errorf("cell %d: %w", i, boom)
 			}
@@ -47,6 +49,55 @@ func TestRunCellsError(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCellsCancel: once env.Ctx is done RunCells starts no
+// further cell and returns the context's error. Cell 0 cancels; cell
+// 1, which the second worker may already be running, waits for the
+// cancellation, so any later cell that starts was started after it.
+func TestRunCellsCancel(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelled := make(chan struct{})
+		var (
+			mu      sync.Mutex
+			started []int
+		)
+		out, err := RunCells(16, Env{Ctx: ctx, Workers: workers}, func(i int) (int, error) {
+			mu.Lock()
+			started = append(started, i)
+			mu.Unlock()
+			switch i {
+			case 0:
+				cancel()
+				close(cancelled)
+			case 1:
+				<-cancelled
+			}
+			return i, nil
+		})
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("workers=%d: got %v, %v; want nil, context.Canceled", workers, out, err)
+		}
+		for _, i := range started {
+			if i > workers-1 {
+				t.Fatalf("workers=%d: cell %d started after cancellation (started %v)", workers, i, started)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		ran := false
+		_, err := RunCells(4, Env{Ctx: ctx, Workers: workers}, func(int) (int, error) { ran = true; return 0, nil })
+		if !errors.Is(err, context.Canceled) || ran {
+			t.Fatalf("workers=%d, cancelled before the sweep: err %v, ran %v", workers, err, ran)
+		}
+	}
+}
+
+// testEnv is the environment the study tests run in: workers workers
+// and the automatic prep lookahead.
+func testEnv(workers int) Env { return Env{Workers: workers, Lookahead: PrepAuto} }
 
 // TestChipStudyParallelDeterminism is the tentpole guarantee: the
 // worker-pool sweep renders every figure byte-identically to the
@@ -65,11 +116,11 @@ func TestChipStudyParallelDeterminism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	seq, err := ChipStudy(suite.Services, 32, 3, false, 1)
+	seq, err := ChipStudy(suite.Services, 32, 3, false, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ChipStudy(suite.Services, 32, 3, false, 4)
+	par, err := ChipStudy(suite.Services, 32, 3, false, testEnv(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +131,11 @@ func TestChipStudyParallelDeterminism(t *testing.T) {
 
 func TestEfficiencyStudyParallelDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
-	seq, err := EfficiencyStudy(suite.Services, 64, 7, 1)
+	seq, err := EfficiencyStudy(suite.Services, 64, 7, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EfficiencyStudy(suite.Services, 64, 7, 4)
+	par, err := EfficiencyStudy(suite.Services, 64, 7, testEnv(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +151,11 @@ func TestEfficiencyStudyParallelDeterminism(t *testing.T) {
 
 func TestMPKIStudyParallelDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
-	seq, err := MPKIStudy(suite.Services, 32, 3, 1)
+	seq, err := MPKIStudy(suite.Services, 32, 3, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MPKIStudy(suite.Services, 32, 3, 4)
+	par, err := MPKIStudy(suite.Services, 32, 3, testEnv(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +166,8 @@ func TestMPKIStudyParallelDeterminism(t *testing.T) {
 
 func TestSensitivityStudyParallelDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
-	seq := sensReport(t, suite, []string{"urlshort", "memc"}, 64, 3, 1)
-	par := sensReport(t, suite, []string{"urlshort", "memc"}, 64, 3, 4)
+	seq := sensReport(t, suite, []string{"urlshort", "memc"}, 64, 3, testEnv(1))
+	par := sensReport(t, suite, []string{"urlshort", "memc"}, 64, 3, testEnv(4))
 	if seq != par {
 		t.Fatal("parallel sensitivity report differs from sequential")
 	}
@@ -124,11 +175,11 @@ func TestSensitivityStudyParallelDeterminism(t *testing.T) {
 
 func TestMultiBatchSweepDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
-	seq, err := MultiBatchSweep(suite.Services, 3, 1)
+	seq, err := MultiBatchSweep(suite.Services, 3, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MultiBatchSweep(suite.Services, 3, 4)
+	par, err := MultiBatchSweep(suite.Services, 3, testEnv(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +194,11 @@ func TestBatchSweepDeterminism(t *testing.T) {
 	reqs := genRequests(svc, 64, 3)
 	sizes := []int{32, 8}
 
-	cpuSeq, seq, err := BatchSweep(svc, reqs, sizes, 1)
+	cpuSeq, seq, err := BatchSweep(svc, reqs, sizes, testEnv(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpuPar, par, err := BatchSweep(svc, reqs, sizes, 3)
+	cpuPar, par, err := BatchSweep(svc, reqs, sizes, testEnv(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +214,13 @@ func TestBatchSweepDeterminism(t *testing.T) {
 
 // sensReport runs the sensitivity study on the named services and
 // returns the rendered report.
-func sensReport(t *testing.T, suite *uservices.Suite, names []string, requests int, seed int64, workers int) string {
+func sensReport(t *testing.T, suite *uservices.Suite, names []string, requests int, seed int64, env Env) string {
 	t.Helper()
 	svcs, err := suite.Lookup(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := SensitivityStudy(svcs, requests, seed, workers)
+	pairs, err := SensitivityStudy(svcs, requests, seed, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +242,11 @@ func TestStudiesRejectNonPositiveRequests(t *testing.T) {
 	}
 	for _, n := range []int{0, -5} {
 		studies := map[string]func() error{
-			"chip":        func() error { _, err := ChipStudy(svcs, n, 1, false, 1); return err },
-			"efficiency":  func() error { _, err := EfficiencyStudy(svcs, n, 1, 1); return err },
-			"mpki":        func() error { _, err := MPKIStudy(svcs, n, 1, 1); return err },
-			"sensitivity": func() error { _, err := SensitivityStudy(svcs, n, 1, 1); return err },
-			"timing":      func() error { _, err := TimingSweep(svcs, n, 1, 1); return err },
+			"chip":        func() error { _, err := ChipStudy(svcs, n, 1, false, testEnv(1)); return err },
+			"efficiency":  func() error { _, err := EfficiencyStudy(svcs, n, 1, testEnv(1)); return err },
+			"mpki":        func() error { _, err := MPKIStudy(svcs, n, 1, testEnv(1)); return err },
+			"sensitivity": func() error { _, err := SensitivityStudy(svcs, n, 1, testEnv(1)); return err },
+			"timing":      func() error { _, err := TimingSweep(svcs, n, 1, testEnv(1)); return err },
 		}
 		for name, run := range studies {
 			if err := run(); err == nil {

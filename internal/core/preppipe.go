@@ -7,10 +7,7 @@
 // output byte-identical to the sequential loop at any lookahead.
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // PrepAuto selects an automatic per-run prep lookahead derived from
 // the spare CPU budget (see Options.PrepLookahead).
@@ -21,45 +18,16 @@ const PrepAuto = -1
 // batches of headroom already hide it behind the timing core.
 const maxPrepLookahead = 4
 
-// prepForce holds the process-wide lookahead override as value+1
-// (0 = no override). It backs the cmd tools' -lookahead flag and the
-// bench harness, which need to pin every study's derived lookahead
-// without threading a parameter through each driver.
-var prepForce atomic.Int32
-
-// SetPrepLookahead forces the lookahead every PrepAuto resolution
-// (study drivers and direct RunService calls) will use: n >= 0 pins
-// it, n < 0 restores automatic derivation. Options with an explicit
-// non-negative PrepLookahead are unaffected.
-func SetPrepLookahead(n int) {
-	if n < 0 {
-		prepForce.Store(0)
-		return
-	}
-	prepForce.Store(int32(n) + 1)
-}
-
-// PrepLookaheadOverride returns the process-wide lookahead pinned by
-// SetPrepLookahead, or -1 when lookahead derivation is automatic. The
-// distributed dispatcher reads it to forward the driver's flag state
-// to workers.
-func PrepLookaheadOverride() int {
-	if v := prepForce.Load(); v != 0 {
-		return int(v) - 1
-	}
-	return -1
-}
-
-// prepBudget derives the per-cell prep lookahead for a sweep of cells
-// cells on workers outer workers: the inner prep goroutines of all
-// concurrently running cells must not oversubscribe the machine, so
-// each cell gets the spare CPUs left after the outer pool is staffed.
-// A process-wide SetPrepLookahead override wins when set.
-func prepBudget(cells, workers int) int {
-	if v := prepForce.Load(); v != 0 {
-		return int(v) - 1
+// prepBudget returns the per-cell prep lookahead of a sweep of cells
+// cells in e: e.Lookahead when pinned (>= 0), else the spare CPUs left
+// after the sweep's outer pool is staffed, so the inner prep goroutines
+// of all concurrently running cells do not oversubscribe the machine.
+func (e Env) prepBudget(cells int) int {
+	if e.Lookahead >= 0 {
+		return e.Lookahead
 	}
 	p := DefaultWorkers()
+	workers := e.Workers
 	if workers <= 0 || workers > p {
 		workers = p
 	}
@@ -69,14 +37,7 @@ func prepBudget(cells, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}
-	la := p/workers - 1
-	if la < 0 {
-		la = 0
-	}
-	if la > maxPrepLookahead {
-		la = maxPrepLookahead
-	}
-	return la
+	return min(max(p/workers-1, 0), maxPrepLookahead)
 }
 
 // lookahead resolves the option to a concrete batch count.
@@ -84,7 +45,7 @@ func (o *Options) lookahead() int {
 	if o.PrepLookahead >= 0 {
 		return o.PrepLookahead
 	}
-	return prepBudget(1, 1)
+	return Env{Workers: 1, Lookahead: PrepAuto}.prepBudget(1)
 }
 
 // pipelined runs n units through a bounded-lookahead producer/consumer

@@ -91,19 +91,17 @@ func TestPipelinedEmpty(t *testing.T) {
 
 func TestPrepBudget(t *testing.T) {
 	p := DefaultWorkers()
-	if got := prepBudget(100, 1); got != min(p-1, maxPrepLookahead) {
+	if got := testEnv(1).prepBudget(100); got != min(p-1, maxPrepLookahead) {
 		t.Fatalf("one worker should get the whole spare budget, got %d", got)
 	}
-	if got := prepBudget(100, p); got != 0 {
+	if got := testEnv(p).prepBudget(100); got != 0 {
 		t.Fatalf("a fully staffed pool has no spare CPUs, got %d", got)
 	}
-	SetPrepLookahead(3)
-	if got := prepBudget(100, p); got != 3 {
-		t.Fatalf("override ignored, got %d", got)
+	if got := (Env{Workers: p, Lookahead: 3}).prepBudget(100); got != 3 {
+		t.Fatalf("pinned lookahead ignored, got %d", got)
 	}
-	SetPrepLookahead(-1)
-	if got := prepBudget(100, p); got != 0 {
-		t.Fatalf("override not cleared, got %d", got)
+	if got := (Env{Workers: p}).prepBudget(100); got != 0 {
+		t.Fatalf("zero Env should prepare sequentially, got %d", got)
 	}
 }
 
@@ -160,24 +158,22 @@ func TestPrepPipelineDeterminism(t *testing.T) {
 // race test for the prep pipeline sharing trace caches and request
 // streams across cells.
 func TestPrepPipelineUnderSweep(t *testing.T) {
-	SetPrepLookahead(2)
-	defer SetPrepLookahead(-1)
 	suite := uservices.NewSuite()
 	svc := suite.Get("memc")
 	reqs := genRequests(svc, 64, 7)
-	cpu, rows, err := BatchSweep(svc, reqs, []int{8, 16, 32}, 4)
+	env := Env{Workers: 4, Lookahead: 2}
+	cpu, rows, err := BatchSweep(svc, reqs, []int{8, 16, 32}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cpu == nil || len(rows) != 3 {
 		t.Fatalf("cpu=%v rows=%d", cpu, len(rows))
 	}
-	chip, err := ChipStudy(suite.Services, 32, 3, false, 4)
+	chip, err := ChipStudy(suite.Services, 32, 3, false, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetPrepLookahead(0)
-	seq, err := ChipStudy(suite.Services, 32, 3, false, 4)
+	seq, err := ChipStudy(suite.Services, 32, 3, false, Env{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +191,9 @@ func TestSweepCachesAbort(t *testing.T) {
 	// Both cells of a service read every request at thread 0, so the
 	// plan admits every key.
 	cpu := func(p *trace.Plan, reqs []uservices.Request) { planRun(p, ArchCPU, nil, reqs, &Options{}) }
-	sw := newSweepCaches(svcs, studyRequests(8, 3), []prepCell{{svc: 0, plan: cpu}, {svc: 0, plan: cpu}, {svc: 1, plan: cpu}, {svc: 1, plan: cpu}})
+	sw := newSweepCaches(Env{}, svcs, studyRequests(8, 3), []prepCell{{svc: 0, plan: cpu}, {svc: 0, plan: cpu}, {svc: 1, plan: cpu}, {svc: 1, plan: cpu}})
 	for s, svc := range svcs {
-		e := sw.env(2 * s)
+		e := sw.cell(2 * s)
 		in := trace.NewInterp(svc, e.traces)
 		for i := range e.reqs {
 			if _, err := in.Trace(i, &e.reqs[i], 0, alloc.StackRegion+alloc.StackSize, alloc.PolicyCPU, lineBytes, 1); err != nil {

@@ -23,16 +23,6 @@ var sampleMetricNames = []string{
 	"cycles", "uops", "scalar_ops", "l1_accesses", "l1_misses", "dram_accesses",
 }
 
-// sampleConfig resolves the run's sampling config: an explicit
-// Options.Sample wins, otherwise the process-wide default (the
-// drivers' -sample flag) applies.
-func (o *Options) sampleConfig() sample.Config {
-	if o.Sample.Period != 0 {
-		return o.Sample
-	}
-	return sample.Default()
-}
-
 // runSampler drives one run's sampling: which units exist, which are
 // timed, and the accumulation/extrapolation of the estimate. All
 // methods are nil-safe and a nil sampler reproduces the unsampled

@@ -136,32 +136,35 @@ func TestSamplingObsCounters(t *testing.T) {
 	t.Fatal("core.sample scope missing from the snapshot")
 }
 
-// TestSamplingDefaultPinned checks the process-wide default path the
-// -sample flag uses: a pinned default applies to runs without an
-// explicit Options.Sample and an explicit config overrides it.
-func TestSamplingDefaultPinned(t *testing.T) {
-	suite := uservices.NewSuite()
-	svc := suite.Get("memc")
-	reqs := genRequests(svc, 96, 7)
-	opts := DefaultOptions()
-	opts.BatchSize = 8
-
-	sample.SetDefault(sample.Config{Period: 4, Warmup: 1})
-	defer sample.SetDefault(sample.Config{})
-	res, err := RunService(ArchRPU, svc, reqs, opts)
+// TestSamplingEnvReachesCells checks the path the -sample flag uses: a
+// study copies Env.Sample into every chip cell, so each cell runs
+// sampled, and Period 1 leaves the study identical to the unsampled
+// one.
+func TestSamplingEnvReachesCells(t *testing.T) {
+	svcs, err := uservices.NewSuite().Lookup("memc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sampled == nil {
-		t.Fatal("pinned default not picked up")
-	}
-
-	opts.Sample = sample.Config{Period: 1, Warmup: 1} // explicit wins
-	res, err = RunService(ArchRPU, svc, reqs, opts)
+	env := Env{Workers: 1, Sample: sample.Config{Period: 4, Warmup: 1}}
+	rows, err := ChipStudy(svcs, 96, 7, false, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sampled != nil {
-		t.Fatal("explicit Period 1 did not override the pinned default")
+	for _, res := range []*Result{rows[0].CPU, rows[0].SMT, rows[0].RPU} {
+		if res.Sampled == nil || res.Sampled.Period != 4 {
+			t.Fatalf("%v cell ran unsampled under Env.Sample 4:1", res.Arch)
+		}
+	}
+	full, err := ChipStudy(svcs, 96, 7, false, Env{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Sample = sample.Config{Period: 1, Warmup: 1}
+	p1, err := ChipStudy(svcs, 96, 7, false, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(full, p1) {
+		t.Fatal("Env.Sample period 1 changed the study's results")
 	}
 }

@@ -35,14 +35,14 @@ var sensMutations = []struct {
 }
 
 // SensitivityStudy computes the §V-A1 sensitivity grid for the given
-// services on a worker pool. Each architecture an ablation mutates
+// services in env. Each architecture an ablation mutates
 // gets one baseline run per service, shared by all of that
 // architecture's ablations. The result is a flat grid indexed
 // pairs[section*len(svcs)+s], section in report order (SensSections
 // rows); WriteSensitivity renders it. Per-service columns are
 // independent, so a subset's column is byte-identical to the same
 // service's column in a full run.
-func SensitivityStudy(svcs []*uservices.Service, requests int, seed int64, workers int) ([]SensPair, error) {
+func SensitivityStudy(svcs []*uservices.Service, requests int, seed int64, env Env) ([]SensPair, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func SensitivityStudy(svcs []*uservices.Service, requests int, seed int64, worke
 		varRow[sec] = rows
 		addRow(m.arch, m.mutate)
 	}
-	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, workers)
+	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, env)
 	if err != nil {
 		return nil, err
 	}

@@ -56,13 +56,12 @@ type TimingRow struct {
 	Res      []*Result
 }
 
-// TimingSweep runs every (service, timing variant) RPU cell on a
-// worker pool. Variants differ only in timing knobs, so all eight
+// TimingSweep runs every (service, timing variant) RPU cell in env. Variants differ only in timing knobs, so all eight
 // cells of a service share one prep signature: the batch streams the
 // first cell prepares are replayed by the other seven from the batch
 // cache. Rows are per service and independent, so a subset's rows are
 // byte-identical to the same services' rows in a full-suite run.
-func TimingSweep(svcs []*uservices.Service, requests int, seed int64, workers int) ([]TimingRow, error) {
+func TimingSweep(svcs []*uservices.Service, requests int, seed int64, env Env) ([]TimingRow, error) {
 	if err := checkRequests(requests); err != nil {
 		return nil, err
 	}
@@ -76,7 +75,7 @@ func TimingSweep(svcs []*uservices.Service, requests int, seed int64, workers in
 			cells = append(cells, serviceCell{svc: s, arch: ArchRPU, opts: opts})
 		}
 	}
-	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, workers)
+	res, err := runServiceCells(svcs, studyRequests(requests, seed), cells, env)
 	if err != nil {
 		return nil, err
 	}

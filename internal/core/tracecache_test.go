@@ -9,16 +9,6 @@ import (
 	"simr/internal/uservices"
 )
 
-// withFreshTraces runs fn with the sweep-level trace cache disabled so
-// every cell interprets its requests from scratch (the pre-cache code
-// path).
-func withFreshTraces(t *testing.T, fn func()) {
-	t.Helper()
-	disableTraceCache = true
-	defer func() { disableTraceCache = false }()
-	fn()
-}
-
 // TestTraceCacheStudyDeterminism is the tentpole guarantee of the
 // trace cache: for every study, a cached sweep (on several workers, so
 // the cache is exercised concurrently — run under -race this is also
@@ -27,7 +17,8 @@ func withFreshTraces(t *testing.T, fn func()) {
 func TestTraceCacheStudyDeterminism(t *testing.T) {
 	suite := uservices.NewSuite()
 	svcs := suite.Services
-	const workers = 4
+	env := testEnv(4)
+	oracle := freshTraces(env)
 
 	t.Run("chip", func(t *testing.T) {
 		render := func(rows []ChipRow) []byte {
@@ -42,14 +33,11 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 			}
 			return buf.Bytes()
 		}
-		cached, err := ChipStudy(svcs, 32, 3, false, workers)
+		cached, err := ChipStudy(svcs, 32, 3, false, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fresh []ChipRow
-		withFreshTraces(t, func() {
-			fresh, err = ChipStudy(svcs, 32, 3, false, workers)
-		})
+		fresh, err := ChipStudy(svcs, 32, 3, false, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,14 +47,11 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 	})
 
 	t.Run("efficiency", func(t *testing.T) {
-		cached, err := EfficiencyStudy(svcs, 64, 7, workers)
+		cached, err := EfficiencyStudy(svcs, 64, 7, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fresh []EffRow
-		withFreshTraces(t, func() {
-			fresh, err = EfficiencyStudy(svcs, 64, 7, workers)
-		})
+		fresh, err := EfficiencyStudy(svcs, 64, 7, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,14 +61,11 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 	})
 
 	t.Run("mpki", func(t *testing.T) {
-		cached, err := MPKIStudy(svcs, 32, 3, workers)
+		cached, err := MPKIStudy(svcs, 32, 3, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fresh []MPKIRow
-		withFreshTraces(t, func() {
-			fresh, err = MPKIStudy(svcs, 32, 3, workers)
-		})
+		fresh, err := MPKIStudy(svcs, 32, 3, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,25 +76,19 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 
 	t.Run("sensitivity", func(t *testing.T) {
 		names := []string{"urlshort", "memc"}
-		cached := sensReport(t, suite, names, 64, 3, workers)
-		var fresh string
-		withFreshTraces(t, func() {
-			fresh = sensReport(t, suite, names, 64, 3, workers)
-		})
+		cached := sensReport(t, suite, names, 64, 3, env)
+		fresh := sensReport(t, suite, names, 64, 3, oracle)
 		if cached != fresh {
 			t.Fatal("cached sensitivity report differs from fresh interpretation")
 		}
 	})
 
 	t.Run("multibatch", func(t *testing.T) {
-		cached, err := MultiBatchSweep(svcs, 3, workers)
+		cached, err := MultiBatchSweep(svcs, 3, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fresh []MultiBatchRow
-		withFreshTraces(t, func() {
-			fresh, err = MultiBatchSweep(svcs, 3, workers)
-		})
+		fresh, err := MultiBatchSweep(svcs, 3, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,17 +101,11 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 		svc := suite.Get("memc")
 		reqs := genRequests(svc, 64, 3)
 		sizes := []int{32, 8}
-		cpuC, cached, err := BatchSweep(svc, reqs, sizes, workers)
+		cpuC, cached, err := BatchSweep(svc, reqs, sizes, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var (
-			cpuF  *Result
-			fresh []BatchSweepRow
-		)
-		withFreshTraces(t, func() {
-			cpuF, fresh, err = BatchSweep(svc, reqs, sizes, workers)
-		})
+		cpuF, fresh, err := BatchSweep(svc, reqs, sizes, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,6 +113,14 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 			t.Fatal("cached batch sweep differs from fresh interpretation")
 		}
 	})
+}
+
+// freshTraces returns env with the sweep-level trace cache turned off,
+// so every cell interprets its requests from scratch (the pre-cache
+// code path).
+func freshTraces(env Env) Env {
+	env.freshTraces = true
+	return env
 }
 
 // TestTraceCacheAdmission pins each study's scalar-trace cache plan on
@@ -154,18 +132,19 @@ func TestTraceCacheStudyDeterminism(t *testing.T) {
 // at least two: nothing is bypassed or left for Drop.
 func TestTraceCacheAdmission(t *testing.T) {
 	svcs := uservices.NewSuite().Services
-	const requests, seed, workers = 240, 42, 2
+	const requests, seed = 240, 42
+	env := testEnv(2)
 	cases := []struct {
 		study string
 		run   func() error
 		hits  int64
 	}{
-		{"chip", func() error { _, err := ChipStudy(svcs, requests, seed, false, workers); return err }, 450},
-		{"sensitivity", func() error { _, err := SensitivityStudy(svcs, requests, seed, workers); return err }, 10800},
-		{"mpki", func() error { _, err := MPKIStudy(svcs, requests, seed, workers); return err }, 5534},
-		{"efficiency", func() error { _, err := EfficiencyStudy(svcs, requests, seed, workers); return err }, 3731},
-		{"timing", func() error { _, err := TimingSweep(svcs, requests, seed, workers); return err }, 0},
-		{"multibatch", func() error { _, err := MultiBatchSweep(svcs, seed, workers); return err }, 0},
+		{"chip", func() error { _, err := ChipStudy(svcs, requests, seed, false, env); return err }, 450},
+		{"sensitivity", func() error { _, err := SensitivityStudy(svcs, requests, seed, env); return err }, 10800},
+		{"mpki", func() error { _, err := MPKIStudy(svcs, requests, seed, env); return err }, 5534},
+		{"efficiency", func() error { _, err := EfficiencyStudy(svcs, requests, seed, env); return err }, 3731},
+		{"timing", func() error { _, err := TimingSweep(svcs, requests, seed, env); return err }, 0},
+		{"multibatch", func() error { _, err := MultiBatchSweep(svcs, seed, env); return err }, 0},
 	}
 	for _, c := range cases {
 		reg := obs.NewRegistry()

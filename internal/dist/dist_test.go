@@ -46,6 +46,14 @@ var (
 	sensSvcs = []string{"memc", "user", "post", "usertag", "uniqueid"}
 )
 
+// testEnv is the single-process environment the reference runs in;
+// testConfig is its wire form, as the drivers build it.
+var testEnv = core.Env{Workers: 1, Lookahead: core.PrepAuto}
+
+func testConfig(metrics bool) SweepConfig {
+	return SweepConfig{Lookahead: testEnv.Lookahead, Sample: testEnv.Sample, Metrics: metrics, TaskWorkers: 1}
+}
+
 // testSpec is the sweep every test distributes: a chip-study subset
 // plus a sensitivity-grid subset, 10 tasks total.
 func testSpec() SweepSpec {
@@ -68,11 +76,11 @@ func singleProcessRef(t *testing.T) []byte {
 		}
 		return svcs
 	}
-	chip, err := core.ChipStudy(get(chipSvcs), testRequests, 7, false, 1)
+	chip, err := core.ChipStudy(get(chipSvcs), testRequests, 7, false, testEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := core.SensitivityStudy(get(sensSvcs), testRequests, 7, 1)
+	pairs, err := core.SensitivityStudy(get(sensSvcs), testRequests, 7, testEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +133,7 @@ func runSweep(t *testing.T, cfg SweepConfig, opts DispatcherOptions, n int) *Swe
 // byte-identical across worker counts.
 func TestDistributedSweepDeterminism(t *testing.T) {
 	ref := singleProcessRef(t)
-	cfg := CaptureConfig(true)
+	cfg := testConfig(true)
 	var snapRef []byte
 	for _, n := range []int{1, 2, 4} {
 		res := runSweep(t, cfg, DispatcherOptions{}, n)
@@ -175,7 +183,7 @@ func TestWorkerKillRequeueDeterminism(t *testing.T) {
 	obs.Enable(reg, nil)
 	defer obs.Disable()
 
-	d, err := NewDispatcher(testSpec(), CaptureConfig(false), DispatcherOptions{HeartbeatEvery: 50 * time.Millisecond})
+	d, err := NewDispatcher(testSpec(), testConfig(false), DispatcherOptions{HeartbeatEvery: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +241,7 @@ func TestCorruptResultRequeueDeterminism(t *testing.T) {
 	obs.Enable(reg, nil)
 	defer obs.Disable()
 
-	d, err := NewDispatcher(testSpec(), CaptureConfig(false), DispatcherOptions{HeartbeatEvery: 50 * time.Millisecond})
+	d, err := NewDispatcher(testSpec(), testConfig(false), DispatcherOptions{HeartbeatEvery: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +281,7 @@ func TestCorruptResultRequeueDeterminism(t *testing.T) {
 func TestDispatcherCheckpointResumeDeterminism(t *testing.T) {
 	ref := singleProcessRef(t)
 	jpath := filepath.Join(t.TempDir(), "sweep.journal")
-	cfg := CaptureConfig(false)
+	cfg := testConfig(false)
 
 	// First attempt: cancel once at least two tasks are journaled.
 	d1, err := NewDispatcher(testSpec(), cfg, DispatcherOptions{Journal: jpath, HeartbeatEvery: 50 * time.Millisecond})
@@ -329,7 +337,7 @@ func TestDispatcherCheckpointResumeDeterminism(t *testing.T) {
 func TestJournalTornTailResume(t *testing.T) {
 	ref := singleProcessRef(t)
 	jpath := filepath.Join(t.TempDir(), "sweep.journal")
-	cfg := CaptureConfig(false)
+	cfg := testConfig(false)
 
 	// Produce a complete journal.
 	res := runSweep(t, cfg, DispatcherOptions{Journal: jpath}, 2)
@@ -400,7 +408,7 @@ func recordOffsets(t *testing.T, raw []byte) []int {
 // a sweep it was not written for.
 func TestJournalRejectsDifferentSweep(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "sweep.journal")
-	cfg := CaptureConfig(false)
+	cfg := testConfig(false)
 	if res := runSweep(t, cfg, DispatcherOptions{Journal: jpath}, 1); res == nil {
 		t.Fatal("no result")
 	}
@@ -417,7 +425,7 @@ func TestJournalRejectsDifferentSweep(t *testing.T) {
 // wrong schema hash: the dispatcher must refuse the pairing with a
 // Reject frame and never hand out work.
 func TestSchemaMismatchRejected(t *testing.T) {
-	d, err := NewDispatcher(testSpec(), CaptureConfig(false), DispatcherOptions{})
+	d, err := NewDispatcher(testSpec(), testConfig(false), DispatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,15 +488,21 @@ func TestSchemaHashShape(t *testing.T) {
 	}
 }
 
-// TestExecutorRejectsBadTaskFrames: a task frame naming a service the
-// worker does not know, or a spec with a non-positive request count,
-// fails the task with an error instead of panicking the worker.
+// TestExecutorRejectsBadTaskFrames: a welcome carrying an invalid
+// sampling config fails registration, and a task frame naming a service
+// the worker does not know, or a spec with a non-positive request
+// count, fails the task with an error instead of panicking the worker.
 func TestExecutorRejectsBadTaskFrames(t *testing.T) {
 	spec := SweepSpec{Studies: []StudySpec{
 		{Kind: StudyChip, Services: []string{"memc"}, Requests: testRequests, Seed: 7},
 		{Kind: StudyTiming, Services: []string{"memc"}, Requests: 0, Seed: 7},
 	}}
-	e, err := newExecutor(spec, CaptureConfig(false))
+	bad := testConfig(false)
+	bad.Sample.Period = -1
+	if _, err := newExecutor(context.Background(), spec, bad); err == nil {
+		t.Fatal("executor accepted a negative sampling period")
+	}
+	e, err := newExecutor(context.Background(), spec, testConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -81,14 +82,15 @@ type SweepSpec struct {
 	Studies []StudySpec
 }
 
-// SweepConfig carries the process-global simulation knobs from the
-// dispatcher's driver flags to every worker, so a worker reproduces
-// the exact configuration the single-process run would use.
+// SweepConfig is what a worker needs to rebuild the driver's core.Env
+// (every field of it but the context and the worker count) plus the
+// dispatch knobs, so a worker reproduces the exact configuration the
+// single-process run would use.
 type SweepConfig struct {
-	// Lookahead pins the prep-pipeline lookahead (-1 = automatic).
+	// Lookahead is the prep-pipeline depth (core.PrepAuto = automatic).
 	Lookahead int
-	// Sample is the sampling config in -sample flag syntax.
-	Sample string
+	// Sample is the sampled-simulation regime.
+	Sample sample.Config
 	// Metrics makes workers capture a per-task obs registry snapshot;
 	// the dispatcher merges them (in task order) into SweepResult.Obs.
 	Metrics bool
@@ -99,34 +101,9 @@ type SweepConfig struct {
 	TaskWorkers int
 }
 
-// CaptureConfig snapshots the current process-global knobs (as set by
-// the driver's flags) into a SweepConfig for dispatch.
-func CaptureConfig(metrics bool) SweepConfig {
-	return SweepConfig{
-		Lookahead:   core.PrepLookaheadOverride(),
-		Sample:      sample.Default().String(),
-		Metrics:     metrics,
-		TaskWorkers: 1,
-	}
-}
-
-// apply installs the config's knobs process-globally (worker side).
-func (c SweepConfig) apply() error {
-	core.SetPrepLookahead(c.Lookahead)
-	sc, err := sample.Parse(c.Sample)
-	if err != nil {
-		return err
-	}
-	sample.SetDefault(sc)
-	return nil
-}
-
-// taskWorkers resolves the per-task RunCells worker count.
-func (c SweepConfig) taskWorkers() int {
-	if c.TaskWorkers <= 0 {
-		return 1
-	}
-	return c.TaskWorkers
+// env returns the worker-side environment of a sweep run under ctx.
+func (c SweepConfig) env(ctx context.Context) core.Env {
+	return core.Env{Ctx: ctx, Workers: max(c.TaskWorkers, 1), Lookahead: c.Lookahead, Sample: c.Sample}
 }
 
 // Task is one unit of distribution: study Study of the sweep,
@@ -187,16 +164,18 @@ func (spec *SweepSpec) Tasks(suite *uservices.Suite) ([]Task, error) {
 
 // executor runs tasks on the worker side.
 type executor struct {
-	suite *uservices.Suite
-	spec  SweepSpec
-	cfg   SweepConfig
+	suite   *uservices.Suite
+	spec    SweepSpec
+	env     core.Env
+	metrics bool
 }
 
-func newExecutor(spec SweepSpec, cfg SweepConfig) (*executor, error) {
-	if err := cfg.apply(); err != nil {
+// newExecutor prepares a worker to run the sweep's tasks under ctx.
+func newExecutor(ctx context.Context, spec SweepSpec, cfg SweepConfig) (*executor, error) {
+	if err := cfg.Sample.Validate(); err != nil {
 		return nil, err
 	}
-	e := &executor{suite: uservices.NewSuite(), spec: spec, cfg: cfg}
+	e := &executor{suite: uservices.NewSuite(), spec: spec, env: cfg.env(ctx), metrics: cfg.Metrics}
 	// Validate eagerly so a bad spec surfaces at registration, not
 	// mid-sweep.
 	if _, err := spec.Tasks(e.suite); err != nil {
@@ -226,39 +205,38 @@ func (e *executor) run(t Task) (TaskResult, error) {
 	// TaskWorkers=1 the counters are deterministic; the worker filters
 	// wall-clock instruments before shipping.
 	var reg *obs.Registry
-	if e.cfg.Metrics {
+	if e.metrics {
 		reg = obs.NewRegistry()
 		obs.Enable(reg, nil)
 		defer obs.Disable()
 	}
 
-	w := e.cfg.taskWorkers()
 	switch st.Kind {
 	case StudyChip:
 		var rows []core.ChipRow
-		if rows, err = core.ChipStudy(svcs, st.Requests, st.Seed, st.WithGPU, w); err == nil {
+		if rows, err = core.ChipStudy(svcs, st.Requests, st.Seed, st.WithGPU, e.env); err == nil {
 			res.Chip = &rows[0]
 		}
 	case StudySensitivity:
-		res.Sens, err = core.SensitivityStudy(svcs, st.Requests, st.Seed, w)
+		res.Sens, err = core.SensitivityStudy(svcs, st.Requests, st.Seed, e.env)
 	case StudyEfficiency:
 		var rows []core.EffRow
-		if rows, err = core.EfficiencyStudy(svcs, st.Requests, st.Seed, w); err == nil {
+		if rows, err = core.EfficiencyStudy(svcs, st.Requests, st.Seed, e.env); err == nil {
 			res.Eff = &rows[0]
 		}
 	case StudyMPKI:
 		var rows []core.MPKIRow
-		if rows, err = core.MPKIStudy(svcs, st.Requests, st.Seed, w); err == nil {
+		if rows, err = core.MPKIStudy(svcs, st.Requests, st.Seed, e.env); err == nil {
 			res.MPKI = &rows[0]
 		}
 	case StudyTiming:
 		var rows []core.TimingRow
-		if rows, err = core.TimingSweep(svcs, st.Requests, st.Seed, w); err == nil {
+		if rows, err = core.TimingSweep(svcs, st.Requests, st.Seed, e.env); err == nil {
 			res.Timing = &rows[0]
 		}
 	case StudyMultiBatch:
 		var rows []core.MultiBatchRow
-		if rows, err = core.MultiBatchSweep(svcs, st.Seed, w); err == nil {
+		if rows, err = core.MultiBatchSweep(svcs, st.Seed, e.env); err == nil {
 			res.Multi = &rows[0]
 		}
 	default:

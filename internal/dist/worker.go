@@ -1,5 +1,5 @@
 // The worker side: dial the dispatcher, register with the schema
-// hash, apply the sweep's global knobs, then execute tasks pulled off
+// hash, build the sweep's environment, then execute tasks pulled off
 // the connection until Done. A reader goroutine answers heartbeat
 // pings even while a task is executing, so a busy worker is
 // distinguishable from a dead one.
@@ -81,7 +81,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 	if err := decodePayload(p, &w); err != nil {
 		return fmt.Errorf("dist: welcome decode: %w", err)
 	}
-	exec, err := newExecutor(w.Spec, w.Config)
+	exec, err := newExecutor(ctx, w.Spec, w.Config)
 	if err != nil {
 		return fmt.Errorf("dist: sweep config: %w", err)
 	}

@@ -1,12 +1,12 @@
 // Package distflag wires the distributed-sweep flag set into the cmd
-// drivers, following the obsflag/sampleflag pattern:
+// drivers, following the obsflag/envflag pattern:
 //
 //	-dist worker     -addr HOST:PORT   join a dispatcher and execute tasks
 //	-dist dispatcher -addr HOST:PORT   serve the driver's sweep to workers
 //	-dist local      -distworkers N    fork N local workers of this binary
 //
 // Worker mode ignores the driver's study flags — the sweep definition
-// and all simulation knobs arrive in the dispatcher's handshake — so
+// and the run environment arrive in the dispatcher's handshake — so
 // any driver embedding this package can serve as the worker binary for
 // its own dispatcher. With -dist unset nothing changes: the driver
 // runs its normal single-process path.
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 
+	"simr/internal/core"
 	"simr/internal/dist"
 )
 
@@ -79,13 +80,15 @@ func (f *Flags) HandleWorker(ctx context.Context) (bool, error) {
 	return true, dist.RunWorker(ctx, dist.WorkerOptions{Addr: *f.addr, Logf: logf})
 }
 
-// Run executes the sweep through the selected distributed mode:
-// 'dispatcher' serves external workers at -addr, 'local' forks
-// -distworkers copies of this binary. Both return the reassembled
-// sweep result, which renders byte-identically to the single-process
-// path.
-func (f *Flags) Run(ctx context.Context, spec dist.SweepSpec) (*dist.SweepResult, error) {
-	cfg := dist.CaptureConfig(*f.metricsOut != "")
+// Run executes the sweep in env through the selected distributed
+// mode: 'dispatcher' serves external workers at -addr, 'local' forks
+// -distworkers copies of this binary. Workers run each task in env's
+// lookahead and sampling, one cell at a time. Both modes return the
+// reassembled sweep result, which renders byte-identically to the
+// single-process path. env.Ctx (which envflag always sets) cancels
+// the sweep.
+func (f *Flags) Run(env core.Env, spec dist.SweepSpec) (*dist.SweepResult, error) {
+	cfg := dist.SweepConfig{Lookahead: env.Lookahead, Sample: env.Sample, Metrics: *f.metricsOut != "", TaskWorkers: 1}
 	opts := dist.DispatcherOptions{
 		Window:  *f.window,
 		Journal: *f.journal,
@@ -104,9 +107,9 @@ func (f *Flags) Run(ctx context.Context, spec dist.SweepSpec) (*dist.SweepResult
 			return nil, err
 		}
 		logf("dist: dispatcher listening on %s — start workers with: <binary> -dist worker -addr %s", d.Addr(), d.Addr())
-		res, err = d.Run(ctx)
+		res, err = d.Run(env.Ctx)
 	case "local":
-		res, err = dist.RunLocal(ctx, spec, cfg, *f.workers, opts)
+		res, err = dist.RunLocal(env.Ctx, spec, cfg, *f.workers, opts)
 	default:
 		return nil, fmt.Errorf("distflag: Run called with -dist %q", *f.mode)
 	}

@@ -14,7 +14,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Config selects the sampling regime for one run. The zero value (and
@@ -127,32 +126,15 @@ func Parse(s string) (Config, error) {
 	return Config{Period: period, Warmup: warm}, nil
 }
 
-// defaultCfg holds the process-wide sampling default as
-// (period<<32 | warmup)+1 so the zero word means "no override". It
-// backs the cmd tools' -sample flag, which needs to reach every study
-// without threading a parameter through each driver — the same shape
-// as core's prep-lookahead pin.
-var defaultCfg atomic.Uint64
-
-// SetDefault installs the sampling config every run without an
-// explicit Options.Sample will use. The zero Config restores the
-// unsampled default.
-func SetDefault(c Config) {
-	if !c.Active() {
-		defaultCfg.Store(0)
-		return
+// Set parses s in the -sample flag syntax into c, so a *Config is a
+// flag.Value.
+func (c *Config) Set(s string) error {
+	v, err := Parse(s)
+	if err != nil {
+		return err
 	}
-	defaultCfg.Store((uint64(c.Period)<<32 | uint64(c.Warmup)) + 1)
-}
-
-// Default returns the process-wide sampling config (zero when unset).
-func Default() Config {
-	v := defaultCfg.Load()
-	if v == 0 {
-		return Config{}
-	}
-	v--
-	return Config{Period: int(v >> 32), Warmup: int(v & 0xffffffff)}
+	*c = v
+	return nil
 }
 
 // Metric is one extrapolated quantity with its sampling error bound.

@@ -32,6 +32,10 @@ func TestParse(t *testing.T) {
 		if err == nil && got != c.want {
 			t.Fatalf("Parse(%q) = %+v, want %+v", c.in, got, c.want)
 		}
+		set := Config{Period: 9, Warmup: 9}
+		if err := set.Set(c.in); (err != nil) != c.err || (err == nil && set != c.want) {
+			t.Fatalf("Set(%q): %+v, err=%v; want %+v, err=%v", c.in, set, err, c.want, c.err)
+		}
 	}
 }
 
@@ -72,25 +76,6 @@ func TestRolePartition(t *testing.T) {
 				t.Fatalf("cfg %+v: Role(%d) = %v, want timed", c, i, got)
 			}
 		}
-	}
-}
-
-func TestDefaultPin(t *testing.T) {
-	defer SetDefault(Config{})
-	if got := Default(); got.Active() {
-		t.Fatalf("unset default = %+v, want inactive", got)
-	}
-	SetDefault(Config{Period: 8, Warmup: 3})
-	if got := Default(); got != (Config{Period: 8, Warmup: 3}) {
-		t.Fatalf("Default() = %+v after SetDefault(8:3)", got)
-	}
-	SetDefault(Config{Period: 4, Warmup: 0})
-	if got := Default(); got != (Config{Period: 4, Warmup: 0}) {
-		t.Fatalf("Default() = %+v after SetDefault(4:0)", got)
-	}
-	SetDefault(Config{})
-	if got := Default(); got.Active() {
-		t.Fatalf("Default() = %+v after reset, want inactive", got)
 	}
 }
 

@@ -80,14 +80,15 @@ const (
 const DefaultRequests = core.DefaultRequests
 
 // PrepAuto selects an automatic intra-run prep lookahead for
-// Options.PrepLookahead, derived from the CPUs the enclosing sweep
-// leaves spare.
+// Options.PrepLookahead and Env.Lookahead, derived from the CPUs the
+// enclosing sweep leaves spare.
 const PrepAuto = core.PrepAuto
 
-// SetPrepLookahead pins the prep lookahead every PrepAuto resolution
-// uses (n >= 0), or restores automatic derivation (n < 0). Results are
-// byte-identical at any value; only wall-clock changes.
-func SetPrepLookahead(n int) { core.SetPrepLookahead(n) }
+// Env is the run environment every study takes: cancellation context,
+// worker count, prep lookahead and sampling. The zero value runs one
+// worker per CPU with sequential prep and full simulation; results are
+// byte-identical at any Workers and Lookahead.
+type Env = core.Env
 
 // Re-exported sampled-simulation types (see internal/sample).
 type (
@@ -99,12 +100,6 @@ type (
 	// Result.Sampled when sampling skipped work.
 	SampleEstimate = sample.Estimate
 )
-
-// SetSampling installs the process-wide sampled-simulation default
-// every run without an explicit Options.Sample uses; the zero config
-// restores full (unsampled) simulation. Period 1 engages the sampler
-// but times every unit, leaving results bit-identical to unsampled.
-func SetSampling(c SampleConfig) { sample.SetDefault(c) }
 
 // ParseSampleConfig reads the drivers' -sample syntax: "off", PERIOD,
 // or PERIOD:WARMUP.
@@ -137,31 +132,30 @@ func RunService(arch Arch, svc *Service, reqs []Request, opts Options) (*Result,
 }
 
 // EfficiencyStudy reproduces Figures 4/11 (SIMT efficiency per
-// batching policy) for the given services on a worker pool (workers
-// <= 0 uses DefaultWorkers, 1 runs sequentially). Rows are identical
+// batching policy) for the given services in env. Rows are identical
 // at any worker count.
-func EfficiencyStudy(svcs []*Service, requests int, seed int64, workers int) ([]EffRow, error) {
-	return core.EfficiencyStudy(svcs, requests, seed, workers)
+func EfficiencyStudy(svcs []*Service, requests int, seed int64, env Env) ([]EffRow, error) {
+	return core.EfficiencyStudy(svcs, requests, seed, env)
 }
 
 // ChipStudy reproduces the chip-level comparison behind Figures 10,
-// 14, 19, 20 and 21 for the given services on a worker pool. Rows are
-// identical at any worker count.
-func ChipStudy(svcs []*Service, requests int, seed int64, withGPU bool, workers int) ([]ChipRow, error) {
-	return core.ChipStudy(svcs, requests, seed, withGPU, workers)
+// 14, 19, 20 and 21 for the given services in env; env.Sample samples
+// every cell. Rows are identical at any worker count.
+func ChipStudy(svcs []*Service, requests int, seed int64, withGPU bool, env Env) ([]ChipRow, error) {
+	return core.ChipStudy(svcs, requests, seed, withGPU, env)
 }
 
 // MPKIStudy reproduces Figure 15 (L1 MPKI by batch size) for the given
-// services on a worker pool. Rows are identical at any worker count.
-func MPKIStudy(svcs []*Service, requests int, seed int64, workers int) ([]MPKIRow, error) {
-	return core.MPKIStudy(svcs, requests, seed, workers)
+// services in env. Rows are identical at any worker count.
+func MPKIStudy(svcs []*Service, requests int, seed int64, env Env) ([]MPKIRow, error) {
+	return core.MPKIStudy(svcs, requests, seed, env)
 }
 
-// SensitivityStudy runs the §V-A1 ablations for the given services on
-// a worker pool and returns the (baseline, variant) grid that
+// SensitivityStudy runs the §V-A1 ablations for the given services in
+// env and returns the (baseline, variant) grid that
 // WriteSensitivity renders.
-func SensitivityStudy(svcs []*Service, requests int, seed int64, workers int) ([]SensPair, error) {
-	return core.SensitivityStudy(svcs, requests, seed, workers)
+func SensitivityStudy(svcs []*Service, requests int, seed int64, env Env) ([]SensPair, error) {
+	return core.SensitivityStudy(svcs, requests, seed, env)
 }
 
 // WriteSensitivity renders the §V-A1 report; services names the
@@ -170,35 +164,33 @@ func WriteSensitivity(w io.Writer, services []string, pairs []SensPair) error {
 	return core.WriteSensitivity(w, services, pairs)
 }
 
-// DefaultWorkers is the worker count the parallel studies use when
-// given workers <= 0: one per available CPU.
+// DefaultWorkers is the worker count of an Env with Workers <= 0: one
+// per available CPU.
 func DefaultWorkers() int { return core.DefaultWorkers() }
 
-// RunCells evaluates fn(0..n-1) on a bounded worker pool and returns
-// the results in input order — the primitive all parallel studies are
-// built on. workers == 1 runs inline (sequential); workers <= 0 uses
-// DefaultWorkers.
-func RunCells[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return core.RunCells(n, workers, fn)
+// RunCells evaluates fn(0..n-1) on env.Workers workers and returns the
+// results in input order — the primitive all parallel studies are
+// built on. Once env.Ctx is done no further cell starts.
+func RunCells[T any](n int, env Env, fn func(i int) (T, error)) ([]T, error) {
+	return core.RunCells(n, env, fn)
 }
 
 // BatchSweepRow is one RPU batch-size point of a batch-tuning sweep.
 type BatchSweepRow = core.BatchSweepRow
 
 // BatchSweep runs the CPU baseline plus one RPU run per batch size
-// over the same requests on a worker pool (the §III-B3 tuning space).
-func BatchSweep(svc *Service, reqs []Request, sizes []int, workers int) (*Result, []BatchSweepRow, error) {
-	return core.BatchSweep(svc, reqs, sizes, workers)
+// over the same requests in env (the §III-B3 tuning space).
+func BatchSweep(svc *Service, reqs []Request, sizes []int, env Env) (*Result, []BatchSweepRow, error) {
+	return core.BatchSweep(svc, reqs, sizes, env)
 }
 
 // MultiBatchRow is one service's §III-A multi-batch interleaving
 // measurement.
 type MultiBatchRow = core.MultiBatchRow
 
-// MultiBatchSweep runs MultiBatchStudy for every given service on a
-// worker pool.
-func MultiBatchSweep(svcs []*Service, seed int64, workers int) ([]MultiBatchRow, error) {
-	return core.MultiBatchSweep(svcs, seed, workers)
+// MultiBatchSweep runs MultiBatchStudy for every given service in env.
+func MultiBatchSweep(svcs []*Service, seed int64, env Env) ([]MultiBatchRow, error) {
+	return core.MultiBatchSweep(svcs, seed, env)
 }
 
 // TimingVariant is one timing-only RPU design point of a timing sweep.
@@ -214,9 +206,9 @@ type TimingRow = core.TimingRow
 func DefaultTimingVariants() []TimingVariant { return core.DefaultTimingVariants() }
 
 // TimingSweep runs the given services through the timing-variant
-// grid on a worker pool. Rows are identical at any worker count.
-func TimingSweep(svcs []*Service, requests int, seed int64, workers int) ([]TimingRow, error) {
-	return core.TimingSweep(svcs, requests, seed, workers)
+// grid in env. Rows are identical at any worker count.
+func TimingSweep(svcs []*Service, requests int, seed int64, env Env) ([]TimingRow, error) {
+	return core.TimingSweep(svcs, requests, seed, env)
 }
 
 // WriteTimingSweep renders the timing-variant report (per-variant

@@ -31,7 +31,7 @@ func TestFacadeQuickstart(t *testing.T) {
 
 func TestFacadeEfficiencyStudy(t *testing.T) {
 	suite := NewSuite()
-	rows, err := EfficiencyStudy(suite.Services, 128, 7, 1)
+	rows, err := EfficiencyStudy(suite.Services, 128, 7, seqEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFacadeSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := SensitivityStudy(svcs, 64, 3, 1)
+	pairs, err := SensitivityStudy(svcs, 64, 3, seqEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFacadeSensitivity(t *testing.T) {
 
 func TestFacadeChipAndMPKI(t *testing.T) {
 	suite := NewSuite()
-	rows, err := ChipStudy(suite.Services, 32, 3, false, 1)
+	rows, err := ChipStudy(suite.Services, 32, 3, false, seqEnv)
 	if err != nil || len(rows) != 15 {
 		t.Fatalf("chip study: %v, %d rows", err, len(rows))
 	}
@@ -86,7 +86,7 @@ func TestFacadeChipAndMPKI(t *testing.T) {
 	if len(sb.String()) == 0 {
 		t.Fatal("empty JSON")
 	}
-	mrows, err := MPKIStudy(suite.Services, 32, 3, 1)
+	mrows, err := MPKIStudy(suite.Services, 32, 3, seqEnv)
 	if err != nil || len(mrows) != 15 {
 		t.Fatalf("mpki study: %v, %d rows", err, len(mrows))
 	}
