@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"simr/internal/core"
@@ -47,6 +48,10 @@ func main() {
 	envFlags := envflag.Add(flag.CommandLine, envflag.Parallel)
 	obsFlags := obsflag.Add(flag.CommandLine)
 	flag.Parse()
+	if err := checkFlags(*arrivals, *points, *drain); err != nil {
+		fmt.Fprintln(os.Stderr, "syssim:", err)
+		os.Exit(2)
+	}
 	env, stopSig := envFlags.Env()
 	defer stopSig()
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
@@ -170,6 +175,23 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// checkFlags rejects values that would otherwise run something other
+// than what was asked: an unknown arrival process (which would parse as
+// Poisson), no load points (empty tables), or a negative or NaN drain
+// (which would become the default drain).
+func checkFlags(arrivals string, points int, drain float64) error {
+	if queuesim.ParseArrivalProcess(arrivals).String() != arrivals {
+		return fmt.Errorf("-arrivals %s: unknown arrival process (want poisson|mmpp|diurnal|closed)", arrivals)
+	}
+	if points < 1 {
+		return fmt.Errorf("-points %d: want at least 1", points)
+	}
+	if !(drain >= 0) {
+		return fmt.Errorf("-drain %v: want a non-negative number of seconds", drain)
+	}
+	return nil
 }
 
 // loadGraphArg resolves the -graph argument: a .json file is loaded

@@ -47,7 +47,8 @@ func (p ArrivalProcess) String() string {
 }
 
 // ParseArrivalProcess maps a flag string to an ArrivalProcess; unknown
-// values fall back to Poisson.
+// values fall back to Poisson, so a caller that must reject them checks
+// that String() round-trips.
 func ParseArrivalProcess(s string) ArrivalProcess {
 	switch s {
 	case "mmpp":

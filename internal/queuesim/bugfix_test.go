@@ -1,6 +1,7 @@
 package queuesim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -231,6 +232,16 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 		{"diurnal-zero-qps", func(c *TailConfig) { c.QPS = 0; c.Arrivals = ArrivalConfig{Process: ArrDiurnal} }},
 		{"zero-seconds", func(c *TailConfig) { c.Seconds = 0 }},
 		{"legacy-with-graph", func(c *TailConfig) { c.Legacy = true; c.Graph = HotelGraph() }},
+		// Negative or NaN policy values used to disable the policy silently.
+		{"negative-timeout", func(c *TailConfig) { c.Policy.TimeoutMs = -1 }},
+		{"nan-timeout", func(c *TailConfig) { c.Policy.TimeoutMs = math.NaN() }},
+		{"negative-hedge", func(c *TailConfig) { c.Policy.HedgeMs = -5 }},
+		{"nan-hedge", func(c *TailConfig) { c.Policy.HedgeMs = math.NaN() }},
+		{"negative-backoff", func(c *TailConfig) { c.Policy.BackoffMs = -1 }},
+		{"nan-max-backoff", func(c *TailConfig) { c.Policy.MaxBackoffMs = math.NaN() }},
+		{"negative-max-backoff", func(c *TailConfig) { c.Policy.MaxBackoffMs = -1 }},
+		{"negative-qcap", func(c *TailConfig) { c.Policy.QueueCap = -1 }},
+		{"negative-retries", func(c *TailConfig) { c.Policy.MaxRetries = -2 }},
 	} {
 		cfg := tailBase()
 		tc.mut(&cfg)

@@ -7,19 +7,22 @@
 // byte-identity oracle. Requests and batches live in index-addressed
 // arenas, station queues are packed (index, generation) rings, and
 // every hop is a typed event dispatched through the Sim's non-boxing
-// scheduler — by default the O(1) calendar queue plus hierarchical
-// timer wheel (TailConfig.Scheduler selects the binary-heap oracle) —
-// and steady-state event dispatch performs zero heap allocations.
+// scheduler — by default the O(1) calendar queue plus fixed-delay timer
+// lanes (TailConfig.Scheduler selects the binary-heap oracle) — and
+// steady-state event dispatch performs zero heap allocations.
 // Cancellation (timeouts, hedge losers) is lazy: a cancelled entry is
 // marked dead and collected by whatever holds it (its pending event, a
 // queue slot, or its batch), and generation counters make stale
 // timer/hedge/retry events no-ops, so nothing is ever searched or
 // removed from the middle of a queue. Armed timers additionally carry
 // a TimerID: when a slot is freed (or a batch launches early) the
-// engine cancels them, which the wheel turns into a physical O(1)
+// engine cancels them, which a timer lane turns into a physical O(1)
 // deschedule while the heap oracle still pops them as stale no-ops —
 // either way the logical cancellation count and every metric agree
-// byte for byte.
+// byte for byte. Every timer and spec-executor wire hop has a per-run
+// constant delay (timeout, hedge, batch timeout, network hop), so the
+// calendar scheduler keeps them in at most four FIFO lanes; jittered
+// delays (service, arrivals, retry backoff) go through the calendar.
 //
 // Ownership discipline: at any instant each live request (and each
 // batch) has exactly one *driver* — the pending event moving it, the
@@ -174,7 +177,7 @@ type TailConfig struct {
 	// with Graph).
 	Legacy bool
 	// Scheduler selects the pending-event container. The zero value is
-	// SchedCalendar (calendar queue + timer wheel, the O(1) default);
+	// SchedCalendar (calendar queue + timer lanes, the O(1) default);
 	// SchedHeap keeps the binary heap as the byte-identity oracle.
 	Scheduler Scheduler
 }
@@ -303,10 +306,10 @@ type engine struct {
 }
 
 // RunTail simulates one tail-at-scale load point. It returns an error
-// for a degenerate configuration (zero horizon, open loop without a
-// positive QPS, closed loop without users, RPU over a batchless
-// graph) or an invalid graph spec, instead of silently reporting an
-// empty run as measured.
+// for a degenerate configuration (zero horizon, a negative or NaN
+// policy value, open loop without a positive QPS, closed loop without
+// users, RPU over a batchless graph) or an invalid graph spec, instead
+// of silently reporting an empty run as measured.
 func RunTail(cfg TailConfig) (*TailMetrics, error) {
 	e, err := newTailEngine(cfg)
 	if err != nil {
@@ -321,6 +324,9 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	}
 	if cfg.Seconds <= 0 {
 		return nil, fmt.Errorf("queuesim: Seconds must be positive (got %v)", cfg.Seconds)
+	}
+	if err := cfg.Policy.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Arrivals.Process == ArrClosed {
 		if cfg.Arrivals.Users <= 0 {
@@ -457,7 +463,7 @@ func (e *engine) finalizeObs() {
 // finalizeSchedObs reports the scheduler's own health under
 // queuesim.<label>.sched: the logical cancellation count plus, under
 // the calendar scheduler, the calendar's resize/occupancy stats and
-// the wheel's cascade/deschedule counters.
+// the timer lanes' arm/fire/deschedule counters.
 func (e *engine) finalizeSchedObs() {
 	m := e.cfg.Monitor
 	if m == nil || m.Reg == nil {
@@ -469,17 +475,17 @@ func (e *engine) finalizeSchedObs() {
 	if e.cfg.Scheduler != SchedCalendar {
 		return
 	}
-	cal, tw := &e.sim.cal, &e.sim.tw
+	cal, tl := &e.sim.cal, &e.sim.tl
 	sc.Counter("cal_resizes").Add(int64(cal.resizes))
 	sc.Counter("cal_direct_scans").Add(int64(cal.directScans))
 	sc.Gauge("cal_bucket_hwm").Set(int64(cal.bucketHWM))
 	sc.Gauge("cal_buckets").Set(int64(len(cal.buckets)))
-	sc.Counter("wheel_armed").Add(int64(tw.armed))
-	sc.Counter("wheel_fired").Add(int64(tw.fired))
-	sc.Counter("wheel_descheduled").Add(int64(tw.cancelled))
-	sc.Counter("wheel_cascades").Add(int64(tw.cascades))
-	sc.Counter("wheel_overflows").Add(int64(tw.overflows))
-	sc.Gauge("wheel_due_hwm").Set(int64(tw.dueHWM))
+	sc.Gauge("lanes").Set(int64(len(tl.lanes)))
+	sc.Counter("lane_armed").Add(int64(tl.armed))
+	sc.Counter("lane_fired").Add(int64(tl.fired))
+	sc.Counter("lane_descheduled").Add(int64(tl.cancelled))
+	sc.Counter("lane_lazy_fallbacks").Add(int64(tl.lazy))
+	sc.Gauge("lane_ring_hwm").Set(int64(tl.ringHWM))
 }
 
 // handle routes typed events; this is the whole steady-state hot path.
@@ -729,13 +735,19 @@ func (e *engine) complete(idx int32) {
 	e.free(idx)
 }
 
+// wireHop schedules kind after the network hop. Every hop shares one
+// delay, so it rides a timer lane; the handle is never needed.
+func (e *engine) wireHop(kind uint8, a, b int32) {
+	e.sim.AtTimer(e.netHop, kind, a, b)
+}
+
 // --- policies ---
 
 func (e *engine) onTimeout(idx, gen int32) {
 	r := &e.reqs[idx]
 	if r.gen != uint32(gen) {
-		// The slot was freed (its timer was cancelled under the wheel;
-		// the heap oracle still pops it): a stale no-op.
+		// The slot was freed (its timer was cancelled in its lane; the
+		// heap oracle still pops it): a stale no-op.
 		e.staleEvents++
 		return
 	}
@@ -781,10 +793,11 @@ func (e *engine) abandonTry(idx int32, isDriver bool) {
 			}
 			r.twin = -1
 		}
-		// The retry rides the wheel too, but keeps no handle: the timer
-		// is the backing-off slot's driver and must always fire (it
-		// frees a slot whose twin resolved during the backoff).
-		e.sim.AtTimer(e.backoff(c.tries), ekRetry, n, int32(c.gen))
+		// The retry is never cancelled: it is the backing-off slot's
+		// driver and must always fire (it frees a slot whose twin
+		// resolved during the backoff). Its delay is jittered, so it
+		// goes to the calendar rather than a fixed-delay lane.
+		e.sim.AtEvent(e.backoff(c.tries), ekRetry, n, int32(c.gen))
 	} else {
 		e.failTry(idx)
 	}
@@ -944,7 +957,7 @@ func (e *engine) launchBatch(bi int32) {
 		return
 	}
 	if e.g.bentryHop {
-		e.sim.AtEvent(e.netHop, ekBatchNet, bi, e.g.bentry)
+		e.wireHop(ekBatchNet, bi, e.g.bentry)
 	} else {
 		e.enterBatchG(bi, e.g.bentry)
 	}

@@ -59,7 +59,7 @@ func (e *engine) serveReqG(st *estation, idx int32) {
 // wire when the edge is a hop.
 func (e *engine) followEdge(idx int32, ed *cedge) {
 	if ed.hop {
-		e.sim.AtEvent(e.netHop, ekNet, idx, ed.to)
+		e.wireHop(ekNet, idx, ed.to)
 		return
 	}
 	e.enterG(idx, ed.to)
@@ -200,7 +200,7 @@ func (e *engine) enterBatchG(bi, stage int32) {
 
 func (e *engine) followBEdge(bi int32, ed *cedge) {
 	if ed.hop {
-		e.sim.AtEvent(e.netHop, ekBatchNet, bi, ed.to)
+		e.wireHop(ekBatchNet, bi, ed.to)
 		return
 	}
 	e.enterBatchG(bi, ed.to)

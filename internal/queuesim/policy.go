@@ -7,6 +7,8 @@
 // system, not of the workload.
 package queuesim
 
+import "fmt"
+
 // PolicyConfig bounds how long a request may occupy the system and how
 // aggressively it is re-issued. The zero value applies no policy:
 // requests queue without bound and are never abandoned.
@@ -35,6 +37,24 @@ type PolicyConfig struct {
 	// retry budget cannot overflow the shift into a zero or negative
 	// wait (an immediate-retry storm).
 	MaxBackoffMs float64
+}
+
+// validate rejects a negative or NaN policy value: each would silently
+// disable the policy it sets instead of failing the run.
+func (p PolicyConfig) validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"TimeoutMs", p.TimeoutMs}, {"HedgeMs", p.HedgeMs},
+		{"BackoffMs", p.BackoffMs}, {"MaxBackoffMs", p.MaxBackoffMs},
+		{"QueueCap", float64(p.QueueCap)}, {"MaxRetries", float64(p.MaxRetries)},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("queuesim: Policy.%s must be a non-negative number (got %v)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // backoffShiftCap stops exponential doubling at 2^16 × BackoffMs.

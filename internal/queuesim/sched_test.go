@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"simr/internal/obs"
 )
 
 // equivBase is a small, fast tail scenario for heap-vs-calendar
@@ -20,7 +22,7 @@ func equivBase() TailConfig {
 	return TailConfig{Config: c, Scale: 1}
 }
 
-// TestSchedulerEquivalence: the calendar queue + timer wheel must be a
+// TestSchedulerEquivalence: the calendar queue + timer lanes must be a
 // drop-in for the binary heap — byte-identical TailMetrics across all
 // five bundled graphs × 4 seeds × {poisson,mmpp,closed} ×
 // {no-policy, timeout+retry+hedge+qcap} × {cpu,rpu,rpu-split}.
@@ -135,99 +137,163 @@ func TestCalendarHeapOrderProperty(t *testing.T) {
 	}
 }
 
-// wheelRun arms timers straddling every wheel level boundary (level 0
-// ends at 32 ms, level 1 at 2048 ms, level 2 at 131072 ms, the wheel
-// at ~8.39e6 ms), cancels a deterministic subset before and during the
-// run, and records the surviving dispatch order. The heap twin runs
-// the identical script; its cancelled timers still pop, so the handler
-// screens them out the way the engine's generation checks do.
-func wheelRun(t *testing.T, sched Scheduler) (order []int32, s *Sim, stale int) {
-	t.Helper()
-	delays := []float64{
-		0.1, 3, 15.9, 16.1, 31.7, 31.9, 32.1, 33, 48, 63.9, 64.1, // level 0/1 boundary
-		500, 2040, 2047.9, 2048.1, 2100, 4000, // level 1/2 boundary
-		60000, 131071, 131073, 500000, // level 2/3 boundary
-		2e6, 8e6, 8.5e6, 9e6, // top level and overflow
-	}
+// laneRun drives AtTimer timers over len(delays) fixed delays,
+// interleaved with ordinary calendar events: four arming rounds of 40
+// timers per delay (so a lane's ring grows past laneMinCap), timers
+// armed and cancelled from inside the handler mid-drain, and after
+// every round a cancel at each delay's head, middle and tail. The heap
+// twin runs the identical script; its cancelled timers still pop, so
+// the handler screens them out the way the engine's generation checks
+// do.
+func laneRun(sched Scheduler, delays []float64) (order []int64, s *Sim, stale int) {
 	s = NewSimSched(3, sched)
+	rng := rand.New(rand.NewSource(11))
+	var ids []TimerID
+	var delayOf []int
+	done := make(map[int32]bool) // fired or cancelled
 	cancelled := make(map[int32]bool)
+	arm := func(di int) {
+		delayOf = append(delayOf, di)
+		ids = append(ids, s.AtTimer(delays[di], 1, int32(len(ids)), 0))
+	}
+	queued := func(di int) []int32 {
+		var q []int32
+		for i, d := range delayOf {
+			if d == di && !done[int32(i)] {
+				q = append(q, int32(i))
+			}
+		}
+		return q
+	}
+	cancel := func(i int32) {
+		s.Cancel(ids[i])
+		done[i], cancelled[i] = true, true
+	}
 	s.Handle = func(kind uint8, a, b int32) {
-		if cancelled[a] {
-			stale++
-			return
+		if kind == 1 {
+			if cancelled[a] {
+				stale++
+				return
+			}
+			done[a] = true
 		}
-		order = append(order, a)
-		if len(order)%8 == 0 {
-			// Arm a short timer mid-drain: it must merge into the due
-			// window in global (at, seq) order.
-			s.AtTimer(0.01, 2, 10_000+int32(len(order)), 0)
+		order = append(order, int64(kind)<<32|int64(a))
+		if len(order)%5 == 0 && len(order) < 2000 {
+			arm(len(order) % len(delays))
 		}
-	}
-	ids := make([]TimerID, 0, 4*len(delays))
-	var n int32
-	for rep := 0; rep < 4; rep++ {
-		for _, d := range delays {
-			ids = append(ids, s.AtTimer(d+float64(rep)*0.003, 1, n, 0))
-			n++
+		if len(order)%11 == 0 {
+			if q := queued(len(order) % len(delays)); len(q) > 0 {
+				cancel(q[0])
+			}
 		}
 	}
-	// Cancel every 7th timer up front (hits twInSlot and twInOvf)...
-	for i, id := range ids {
-		if i%7 == 3 {
-			s.Cancel(id)
-			cancelled[int32(i)] = true
+	for round := 0; round < 4; round++ {
+		for rep := 0; rep < 40; rep++ {
+			for di := range delays {
+				arm(di)
+			}
+			s.AtEvent(rng.Float64()*120, 2, int32(round*40+rep), 0)
 		}
-	}
-	// ...run partway, then cancel every 7th survivor with a pending
-	// deadline (hits twInDue tombstones and re-placed slot entries).
-	s.Run(16)
-	for i, id := range ids {
-		d := delays[i%len(delays)]
-		if i%7 == 5 && d > 16 {
-			s.Cancel(id)
-			cancelled[int32(i)] = true
+		for di := range delays {
+			if q := queued(di); len(q) >= 3 {
+				cancel(q[0])
+				cancel(q[len(q)/2])
+				cancel(q[len(q)-1])
+			}
 		}
+		s.Run(float64(round+1) * 17)
 	}
-	s.Run(1e7)
+	s.Run(1e6)
 	return order, s, stale
 }
 
-// TestWheelCascade: boundary-straddling timers dispatch in exact (at,
-// seq) order through slot cascades, the overflow list and mid-drain
-// arming, with cancellation windows at every state — and the wheel
-// actually exercised its cascade and overflow machinery.
-func TestWheelCascade(t *testing.T) {
-	ho, hs, hstale := wheelRun(t, SchedHeap)
-	co, cs, cstale := wheelRun(t, SchedCalendar)
-	if !reflect.DeepEqual(ho, co) {
-		t.Fatalf("surviving dispatch order diverged: heap %d entries, calendar %d", len(ho), len(co))
+// TestTimerLanes: lane timers dispatch in exact (at, seq) order merged
+// with the calendar, through ring growth, mid-drain arming and cancels
+// at a lane's head, middle and tail; the calendar never dispatches a
+// cancelled lane timer. With more distinct delays than lanes, the
+// overflow falls back to lazy calendar timers and keeps heap order.
+func TestTimerLanes(t *testing.T) {
+	check := func(t *testing.T, delays []float64) (cs *Sim, hstale, cstale int) {
+		ho, hs, hstale := laneRun(SchedHeap, delays)
+		co, cs, cstale := laneRun(SchedCalendar, delays)
+		if !reflect.DeepEqual(ho, co) {
+			t.Fatalf("surviving dispatch order diverged: heap %d entries, calendar %d", len(ho), len(co))
+		}
+		if hstale == 0 {
+			t.Fatal("heap oracle saw no stale pops; cancellation script is inert")
+		}
+		if hs.CancelledTimers() != cs.CancelledTimers() {
+			t.Fatalf("CancelledTimers diverged: heap %d calendar %d",
+				hs.CancelledTimers(), cs.CancelledTimers())
+		}
+		// Both dispatch every surviving event; only their stale pops differ.
+		if got, want := cs.Events(), hs.Events()-uint64(hstale)+uint64(cstale); got != want {
+			t.Fatalf("calendar events %d, want heap events minus stale pops plus calendar stale pops %d", got, want)
+		}
+		if hs.Pending() != 0 || cs.Pending() != 0 || cs.tl.live != 0 {
+			t.Fatalf("pending after full drain: heap %d calendar %d (lanes %d)", hs.Pending(), cs.Pending(), cs.tl.live)
+		}
+		return cs, hstale, cstale
 	}
-	if cstale != 0 {
-		t.Fatalf("calendar dispatched %d cancelled timers; cancellation must be physical", cstale)
+	t.Run("lanes", func(t *testing.T) {
+		delays := []float64{0.06, 2.5, 25, 50, 100}
+		cs, _, cstale := check(t, delays)
+		if cstale != 0 {
+			t.Fatalf("calendar dispatched %d cancelled timers; cancellation must be physical", cstale)
+		}
+		if len(cs.tl.lanes) != len(delays) || cs.tl.lazy != 0 {
+			t.Fatalf("%d lanes, %d lazy fallbacks; want %d lanes and none", len(cs.tl.lanes), cs.tl.lazy, len(delays))
+		}
+		if cs.tl.ringHWM <= laneMinCap {
+			t.Fatalf("ring high-water mark %d never grew past the initial capacity %d", cs.tl.ringHWM, laneMinCap)
+		}
+	})
+	t.Run("lazy-fallback", func(t *testing.T) {
+		delays := make([]float64, maxLanes+3)
+		for i := range delays {
+			delays[i] = 0.5 + 3*float64(i)
+		}
+		cs, hstale, cstale := check(t, delays)
+		if len(cs.tl.lanes) != maxLanes || cs.tl.lazy == 0 {
+			t.Fatalf("%d lanes, %d lazy fallbacks; want %d lanes and some fallbacks", len(cs.tl.lanes), cs.tl.lazy, maxLanes)
+		}
+		if cstale == 0 || cstale >= hstale {
+			t.Fatalf("calendar stale pops %d (heap %d): want only the fallback timers' cancels to pop", cstale, hstale)
+		}
+	})
+}
+
+// TestSchedObsLaneCounters: the sched scope reports the timer lanes'
+// bookkeeping. The engine's timers and hops share at most four
+// constant delays, so nothing falls back to a lazy timer, every cancel
+// is a physical deschedule, and after the drain every armed timer has
+// either fired or been descheduled.
+func TestSchedObsLaneCounters(t *testing.T) {
+	cfg := tailBase()
+	cfg.Seconds = 0.5
+	cfg.QPS = 18000
+	cfg.RPU = true
+	cfg.Policy = PolicyConfig{TimeoutMs: 50, MaxRetries: 1, BackoffMs: 1, HedgeMs: 20}
+	reg := obs.NewRegistry()
+	cfg.Monitor = &Monitor{Reg: reg, Label: "t"}
+	m := mustTail(t, cfg)
+	sc := reg.Scope(ScopeName("t", "sched"))
+	armed, fired := sc.Counter("lane_armed").Load(), sc.Counter("lane_fired").Load()
+	desched := sc.Counter("lane_descheduled").Load()
+	if armed == 0 || armed != fired+desched {
+		t.Fatalf("lanes armed %d, fired %d, descheduled %d: want armed = fired + descheduled > 0", armed, fired, desched)
 	}
-	if hstale == 0 {
-		t.Fatal("heap oracle saw no stale pops; cancellation script is inert")
+	if desched != int64(m.CancelledTimers) || desched == 0 {
+		t.Fatalf("lanes descheduled %d timers, engine cancelled %d: want equal and non-zero", desched, m.CancelledTimers)
 	}
-	if hs.CancelledTimers() != cs.CancelledTimers() {
-		t.Fatalf("CancelledTimers diverged: heap %d calendar %d",
-			hs.CancelledTimers(), cs.CancelledTimers())
+	if n := sc.Gauge("lanes").Load(); n != 4 {
+		t.Fatalf("%d lanes, want 4 (timeout, hedge, batch timeout, network hop)", n)
 	}
-	// Calendar never dispatches what it descheduled; the heap pops
-	// everything.
-	if got, want := cs.Events(), hs.Events()-uint64(hstale); got != want {
-		t.Fatalf("calendar events %d, want heap events minus stale pops %d", got, want)
+	if n := sc.Counter("lane_lazy_fallbacks").Load(); n != 0 {
+		t.Fatalf("%d lazy fallbacks, want 0", n)
 	}
-	if hs.Pending() != 0 || cs.Pending() != 0 {
-		t.Fatalf("pending after full drain: heap %d calendar %d", hs.Pending(), cs.Pending())
-	}
-	if cs.tw.cascades == 0 {
-		t.Fatal("no slot cascades: boundary delays never crossed a level")
-	}
-	if cs.tw.overflows == 0 {
-		t.Fatal("no overflow placements: horizon delays fit the wheel")
-	}
-	if cs.tw.live != 0 {
-		t.Fatalf("wheel reports %d live timers after drain", cs.tw.live)
+	if sc.Gauge("lane_ring_hwm").Load() == 0 {
+		t.Fatal("lane ring high-water mark not reported")
 	}
 }
 
@@ -376,7 +442,7 @@ func TestSchedCalendarDeterminism(t *testing.T) {
 	}
 }
 
-// TestCalendarSteadyStateAllocs: the calendar+wheel engine with every
+// TestCalendarSteadyStateAllocs: the calendar+lanes engine with every
 // policy timer armed allocates nothing once warmed — the same 0
 // allocs/op contract the heap engine carries.
 func TestCalendarSteadyStateAllocs(t *testing.T) {
@@ -391,7 +457,7 @@ func TestCalendarSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("newTailEngine: %v", err)
 	}
 	now := 200.0
-	e.sim.Run(now) // grow arenas, buckets, wheel freelist to steady state
+	e.sim.Run(now) // grow arenas, buckets, lane rings to steady state
 	n := testing.AllocsPerRun(100, func() {
 		now += 5
 		e.sim.Run(now)

@@ -48,8 +48,8 @@ type Scheduler uint8
 
 const (
 	// SchedCalendar (the tail engine's default) is the O(1) scheduler:
-	// a calendar queue for ordinary events plus a hierarchical timer
-	// wheel for cancellable timers (AtTimer), which Cancel physically
+	// a calendar queue for ordinary events plus fixed-delay FIFO lanes
+	// (lane.go) for timers armed with AtTimer, which Cancel physically
 	// deschedules.
 	SchedCalendar Scheduler = iota
 	// SchedHeap is the binary index-min heap — the byte-identity
@@ -94,7 +94,7 @@ type Sim struct {
 	sched Scheduler
 	pq    []event    // SchedHeap container
 	cal   calQueue   // SchedCalendar: ordinary events
-	tw    timerWheel // SchedCalendar: cancellable timers
+	tl    timerLanes // SchedCalendar: AtTimer timers
 
 	seq     uint64
 	nev     uint64
@@ -154,7 +154,7 @@ func (s *Sim) Events() uint64 { return s.nev }
 // timer remains queued (and counted) until its stale no-op pop.
 func (s *Sim) Pending() int {
 	if s.sched == SchedCalendar {
-		return s.cal.count + s.tw.live
+		return s.cal.count + s.tl.live
 	}
 	return len(s.pq)
 }
@@ -256,19 +256,24 @@ func (s *Sim) AtEvent(delay float64, kind uint8, a, b int32) {
 }
 
 // AtTimer schedules a typed event like AtEvent but returns a handle
-// Cancel can deschedule. Under the calendar scheduler the timer lives
-// on the hierarchical wheel and Cancel unlinks it in O(1); under the
-// heap oracle the handle is the shared lazy sentinel and the event
-// still pops (the caller's generation check makes it a no-op). The
-// arming sequence number is consumed identically either way, so
-// dispatch order is scheduler-invariant.
+// Cancel can deschedule. Under the calendar scheduler the timer joins
+// the FIFO lane for its exact delay and Cancel tombstones it in O(1),
+// so it never dispatches; under the heap oracle (or when the lane
+// handles run out) the handle is the shared lazy sentinel and the
+// event still pops (the caller's generation check makes it a no-op).
+// The arming sequence number is consumed identically either way, so
+// dispatch order is scheduler-invariant. Timers sharing a delay should
+// come through here even when never cancelled: a lane append is
+// cheaper than a calendar insert.
 func (s *Sim) AtTimer(delay float64, kind uint8, a, b int32) TimerID {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
 	if s.sched == SchedCalendar {
-		return TimerID(s.tw.arm(s.now+delay, s.seq, kind, a, b) + 1)
+		if id, ok := s.tl.arm(delay, calEvent{at: s.now + delay, seq: s.seq, a: a, b: b, kind: uint32(kind)}); ok {
+			return id
+		}
 	}
 	s.push(event{at: s.now + delay, seq: s.seq, kind: kind, a: a, b: b})
 	return lazyTimer
@@ -285,7 +290,7 @@ func (s *Sim) Cancel(id TimerID) {
 	}
 	s.ncancel++
 	if id != lazyTimer {
-		s.tw.cancel(int32(id) - 1)
+		s.tl.cancel(id)
 	}
 }
 
@@ -326,7 +331,7 @@ func (s *Sim) Run(until float64) {
 	}
 }
 
-// dispatchCal routes one popped calendar/wheel event without widening
+// dispatchCal routes one popped calendar or lane event without widening
 // it back into the heap's boxed form: closures come out of the sidecar
 // arena, everything else carries its payload inline.
 func (s *Sim) dispatchCal(e calEvent) {
@@ -343,33 +348,22 @@ func (s *Sim) dispatchCal(e calEvent) {
 }
 
 // runCal is the calendar-mode loop: each step merges the calendar
-// queue's head with the timer wheel's, dispatching whichever holds the
-// global (at, seq) minimum. While the wheel is empty — the whole run,
-// for policy-free workloads — the loop skips the merge entirely and
-// drains the calendar alone; otherwise the wheel only expands a slot
-// when its window could actually win the merge, so calendar-heavy
-// stretches cost it one bitmap probe.
+// queue's head with the earliest lane head, dispatching whichever
+// holds the global (at, seq) minimum.
 func (s *Sim) runCal(until float64) {
 	for {
 		cat, cseq, cok := s.cal.peek()
 		var e calEvent
-		if s.tw.live == 0 && s.tw.dueHead >= len(s.tw.due) {
+		if l := s.tl.head(); l != nil && (!cok || l.before(cat, cseq)) {
+			if l.front().at > until {
+				break
+			}
+			e = s.tl.pop(l)
+		} else {
 			if !cok || cat > until {
 				break
 			}
 			e = s.cal.pop()
-		} else if wat, wseq, wok := s.tw.peekMin(cat, cok); wok && (!cok || wat < cat || (wat == cat && wseq < cseq)) {
-			if wat > until {
-				break
-			}
-			e = s.tw.popDue()
-		} else if cok {
-			if cat > until {
-				break
-			}
-			e = s.cal.pop()
-		} else {
-			break
 		}
 		s.now = e.at
 		s.nev++
