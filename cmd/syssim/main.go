@@ -4,14 +4,15 @@
 // microservice path (WebServer → User → McRouter → Memcached →
 // Storage). With -graph the tail engine instead sweeps any declarative
 // service graph — a bundled scenario (social, composepost, hotel,
-// media, iot) or a GraphSpec JSON file; -legacy routes the retired
-// hand-coded social dispatch for byte-identity checks.
+// media, iot) or a GraphSpec JSON file; the Figure 3 compose-post path
+// runs as -tail -graph composepost -scale 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strings"
 
@@ -28,10 +29,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	maxQPS := flag.Float64("max", 70000, "highest offered load")
 	points := flag.Int("points", 12, "number of load points")
-	composePost := flag.Bool("composepost", false, "sweep the Figure 3 compose-post path instead of the User path")
 	tail := flag.Bool("tail", false, "sweep the tail-at-scale engine (p50/p99/p999, overload policies) instead of the closure simulator")
 	graphName := flag.String("graph", "", "tail mode: service graph to sweep — a bundled name (social|composepost|hotel|media|iot) or a GraphSpec .json file (implies -tail)")
-	legacy := flag.Bool("legacy", false, "tail mode: run the retired hand-coded social-network dispatch instead of the spec executor (byte-identity oracle)")
 	scale := flag.Float64("scale", 100, "tail mode: station-capacity multiplier (100 = the 100x Figure 22 analog)")
 	arrivals := flag.String("arrivals", "poisson", "tail mode: arrival process (poisson|mmpp|diurnal|closed)")
 	users := flag.Int("users", 0, "tail mode: closed-loop population per offered-load point (0 = derive from qps and think time)")
@@ -48,7 +47,12 @@ func main() {
 	envFlags := envflag.Add(flag.CommandLine, envflag.Parallel)
 	obsFlags := obsflag.Add(flag.CommandLine)
 	flag.Parse()
-	if err := checkFlags(*arrivals, *points, *drain); err != nil {
+	sched, spec, err := checkFlags(flagValues{
+		seconds: *seconds, maxQPS: *maxQPS, points: *points, scale: *scale,
+		arrivals: *arrivals, users: *users, think: *think, drain: *drain,
+		sched: *schedName, graph: *graphName,
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "syssim:", err)
 		os.Exit(2)
 	}
@@ -83,20 +87,10 @@ func main() {
 		qps = append(qps, *maxQPS*float64(i)/float64(*points))
 	}
 
-	if *composePost {
-		if err := sweepComposePost(*seconds, *seed, qps, env); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *tail {
-		sched, err := queuesim.ParseScheduler(*schedName)
-		if err != nil {
-			log.Fatal(err)
-		}
 		tc := tailSweepConfig{
 			seconds: *seconds, seed: *seed, scale: *scale, drain: *drain,
-			legacy: *legacy, sched: sched,
+			graph: spec, sched: sched,
 			arrivals: queuesim.ArrivalConfig{
 				Process: queuesim.ParseArrivalProcess(*arrivals),
 				Users:   *users, ThinkMs: *think,
@@ -105,16 +99,6 @@ func main() {
 				TimeoutMs: *timeout, MaxRetries: *retries, BackoffMs: *backoff,
 				HedgeMs: *hedge, QueueCap: *qcap,
 			},
-		}
-		if *graphName != "" {
-			if *legacy {
-				log.Fatal("syssim: -legacy runs the hand-coded social graph; it cannot be combined with -graph")
-			}
-			spec, err := loadGraphArg(*graphName)
-			if err != nil {
-				log.Fatal(err)
-			}
-			tc.graph = spec
 		}
 		if err := sweepTail(tc, qps, env); err != nil {
 			log.Fatal(err)
@@ -177,21 +161,62 @@ func main() {
 	}
 }
 
+// flagValues are the parsed flags checkFlags vets.
+type flagValues struct {
+	seconds, maxQPS float64
+	points          int
+	scale           float64
+	arrivals        string
+	users           int
+	think, drain    float64
+	sched, graph    string
+}
+
 // checkFlags rejects values that would otherwise run something other
-// than what was asked: an unknown arrival process (which would parse as
-// Poisson), no load points (empty tables), or a negative or NaN drain
-// (which would become the default drain).
-func checkFlags(arrivals string, points int, drain float64) error {
-	if queuesim.ParseArrivalProcess(arrivals).String() != arrivals {
-		return fmt.Errorf("-arrivals %s: unknown arrival process (want poisson|mmpp|diurnal|closed)", arrivals)
+// than what was asked — an unknown arrival process (which would parse
+// as Poisson), no load points or a horizon that is not finite and
+// positive (tables of zeros or NaN), a sweep ceiling that is not finite
+// and positive, a scale below 1 (which the engine would clamp to 1) or
+// infinite, or a negative population, think time or drain — and
+// resolves the scheduler and the -graph spec (nil for the default
+// social graph), so every bad value exits before any output.
+func checkFlags(v flagValues) (queuesim.Scheduler, *queuesim.GraphSpec, error) {
+	if queuesim.ParseArrivalProcess(v.arrivals).String() != v.arrivals {
+		return 0, nil, fmt.Errorf("-arrivals %s: unknown arrival process (want poisson|mmpp|diurnal|closed)", v.arrivals)
 	}
-	if points < 1 {
-		return fmt.Errorf("-points %d: want at least 1", points)
+	if v.points < 1 {
+		return 0, nil, fmt.Errorf("-points %d: want at least 1", v.points)
 	}
-	if !(drain >= 0) {
-		return fmt.Errorf("-drain %v: want a non-negative number of seconds", drain)
+	if !(v.seconds > 0) || math.IsInf(v.seconds, 1) {
+		return 0, nil, fmt.Errorf("-seconds %v: want a finite positive number", v.seconds)
 	}
-	return nil
+	if !(v.maxQPS > 0) || math.IsInf(v.maxQPS, 1) {
+		return 0, nil, fmt.Errorf("-max %v: want a finite positive number", v.maxQPS)
+	}
+	if !(v.scale >= 1) || math.IsInf(v.scale, 1) {
+		return 0, nil, fmt.Errorf("-scale %v: want a finite number of at least 1", v.scale)
+	}
+	if v.users < 0 {
+		return 0, nil, fmt.Errorf("-users %d: want a non-negative population", v.users)
+	}
+	if !(v.think >= 0) {
+		return 0, nil, fmt.Errorf("-think %v: want a non-negative number of ms", v.think)
+	}
+	if !(v.drain >= 0) {
+		return 0, nil, fmt.Errorf("-drain %v: want a non-negative number of seconds", v.drain)
+	}
+	sched, err := queuesim.ParseScheduler(v.sched)
+	if err != nil {
+		return 0, nil, fmt.Errorf("-sched %s: %w", v.sched, err)
+	}
+	if v.graph == "" {
+		return sched, nil, nil
+	}
+	spec, err := loadGraphArg(v.graph)
+	if err != nil {
+		return 0, nil, fmt.Errorf("-graph %s: %w", v.graph, err)
+	}
+	return sched, spec, nil
 }
 
 // loadGraphArg resolves the -graph argument: a .json file is loaded
@@ -210,7 +235,6 @@ type tailSweepConfig struct {
 	scale    float64
 	drain    float64
 	graph    *queuesim.GraphSpec
-	legacy   bool
 	sched    queuesim.Scheduler
 	arrivals queuesim.ArrivalConfig
 	policy   queuesim.PolicyConfig
@@ -250,7 +274,7 @@ func sweepTail(tc tailSweepConfig, qps []float64, env core.Env) error {
 		mode := modes[i/np]
 		cfg := queuesim.TailConfig{Config: queuesim.DefaultConfig(),
 			Scale: tc.scale, Arrivals: tc.arrivals, Policy: tc.policy,
-			Graph: tc.graph, Legacy: tc.legacy, Scheduler: tc.sched}
+			Graph: tc.graph, Scheduler: tc.sched}
 		cfg.QPS = qps[i%np]
 		cfg.Seconds = tc.seconds
 		cfg.Warmup = tc.seconds / 4
@@ -293,52 +317,6 @@ func sweepTail(tc tailSweepConfig, qps []float64, env core.Env) error {
 		fmt.Printf("%s:\n", mode.name)
 		fmt.Printf("  %9s %10s %8s %8s %8s %8s %7s %7s %7s %9s %7s\n",
 			"qps", "done/s", "p50(ms)", "p99(ms)", "p999(ms)", "timeo", "retry", "hedge", "reject", "hwm", "Mev")
-		for p := 0; p < np; p++ {
-			fmt.Print(rows[mi*np+p])
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-// sweepComposePost runs the compose-post fan-out/join scenario on the
-// same worker pool and in the same input-order print discipline as the
-// Figure 22 sweep.
-func sweepComposePost(seconds float64, seed int64, qps []float64, env core.Env) error {
-	fmt.Println("Compose-post path (Figure 3): fan-out to uniqueid/urlshort/text/usertag, join, persist")
-	modes := []struct {
-		name string
-		rpu  bool
-	}{
-		{"cpu", false},
-		{"rpu", true},
-	}
-	np := len(qps)
-	rows, err := core.RunCells(len(modes)*np, env, func(i int) (string, error) {
-		cfg := queuesim.DefaultComposePost()
-		cfg.QPS = qps[i%np]
-		cfg.Seconds = seconds
-		cfg.Seed = seed
-		cfg.RPU = modes[i/np].rpu
-		if obs.Enabled() {
-			cfg.Monitor = &queuesim.Monitor{
-				Reg:   obs.Default(),
-				Sink:  obs.Trace(),
-				Label: queuesim.CellLabel(modes[i/np].name, cfg.QPS),
-				PID:   100 + i,
-				MinDT: 1.0,
-			}
-		}
-		m := queuesim.RunComposePost(cfg)
-		measured := cfg.Seconds - cfg.Warmup
-		return fmt.Sprintf("  %8.0f %10.0f %10.2f %10.2f %8.2f\n",
-			cfg.QPS, m.Throughput(measured), m.Latency.Percentile(99), m.Latency.Mean(), m.UserUtil), nil
-	})
-	if err != nil {
-		return err
-	}
-	for mi, mode := range modes {
-		fmt.Printf("%s:\n  %8s %10s %10s %10s %8s\n", mode.name, "qps", "done/s", "p99(ms)", "avg(ms)", "util")
 		for p := 0; p < np; p++ {
 			fmt.Print(rows[mi*np+p])
 		}

@@ -231,7 +231,24 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 		{"mmpp-zero-qps", func(c *TailConfig) { c.QPS = 0; c.Arrivals = ArrivalConfig{Process: ArrMMPP} }},
 		{"diurnal-zero-qps", func(c *TailConfig) { c.QPS = 0; c.Arrivals = ArrivalConfig{Process: ArrDiurnal} }},
 		{"zero-seconds", func(c *TailConfig) { c.Seconds = 0 }},
-		{"legacy-with-graph", func(c *TailConfig) { c.Legacy = true; c.Graph = HotelGraph() }},
+		// A NaN or infinite horizon or rate used to run until memory ran out.
+		{"nan-seconds", func(c *TailConfig) { c.Seconds = math.NaN() }},
+		{"inf-seconds", func(c *TailConfig) { c.Seconds = math.Inf(1) }},
+		{"nan-qps", func(c *TailConfig) { c.QPS = math.NaN() }},
+		{"inf-qps", func(c *TailConfig) { c.QPS = math.Inf(1) }},
+		{"mmpp-nan-qps", func(c *TailConfig) { c.QPS = math.NaN(); c.Arrivals = ArrivalConfig{Process: ArrMMPP} }},
+		// Negative or NaN windows and think times used to be clamped or
+		// replaced by defaults silently.
+		{"negative-warmup", func(c *TailConfig) { c.Warmup = -1 }},
+		{"nan-warmup", func(c *TailConfig) { c.Warmup = math.NaN() }},
+		{"negative-drain", func(c *TailConfig) { c.Drain = -1 }},
+		{"nan-drain", func(c *TailConfig) { c.Drain = math.NaN() }},
+		{"negative-think", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrClosed, Users: 100, ThinkMs: -1}
+		}},
+		{"nan-think", func(c *TailConfig) {
+			c.Arrivals = ArrivalConfig{Process: ArrClosed, Users: 100, ThinkMs: math.NaN()}
+		}},
 		// Negative or NaN policy values used to disable the policy silently.
 		{"negative-timeout", func(c *TailConfig) { c.Policy.TimeoutMs = -1 }},
 		{"nan-timeout", func(c *TailConfig) { c.Policy.TimeoutMs = math.NaN() }},
@@ -249,12 +266,18 @@ func TestTailDegenerateConfigErrors(t *testing.T) {
 			t.Fatalf("%s: expected a config error", tc.label)
 		}
 	}
-	// The closed loop with a real population still runs.
+	// The closed loop with a real population still runs, and a zero
+	// think time still means the default.
 	cfg := tailBase()
 	cfg.Seconds = 1
 	cfg.Arrivals = ArrivalConfig{Process: ArrClosed, Users: 100}
-	if m := mustTail(t, cfg); m.Arrived == 0 {
+	m := mustTail(t, cfg)
+	if m.Arrived == 0 {
 		t.Fatal("closed loop with Users=100 saw no arrivals")
+	}
+	cfg.Arrivals.ThinkMs = DefaultThinkMs
+	if got, want := tailFingerprint(m), tailFingerprint(mustTail(t, cfg)); got != want {
+		t.Fatalf("zero ThinkMs is not the default:\n%s\nvs\n%s", got, want)
 	}
 }
 

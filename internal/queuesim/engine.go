@@ -2,9 +2,10 @@
 // pooled, allocation-free state machine instead of a closure graph, so
 // data-center populations (10⁶+ in-flight requests) are cheap. The
 // scenario comes from a compiled GraphSpec (graph.go) walked by the
-// generic executor (exec.go); TailConfig.Legacy instead routes the
-// retired hand-coded social-network dispatch (legacy.go), kept as the
-// byte-identity oracle. Requests and batches live in index-addressed
+// generic executor (exec.go), the engine's only request path; on the
+// social-network spec it reproduces the retired hand-coded dispatch
+// bit for bit (testdata/legacy_fingerprints.txt holds that dispatch's
+// recorded metrics). Requests and batches live in index-addressed
 // arenas, station queues are packed (index, generation) rings, and
 // every hop is a typed event dispatched through the Sim's non-boxing
 // scheduler — by default the O(1) calendar queue plus fixed-delay timer
@@ -57,8 +58,7 @@ const (
 
 // Request flags.
 const (
-	rfHit   uint8 = 1 << iota // memcached hit (legacy dispatch)
-	rfDead                    // cancelled; the driver collects the slot
+	rfDead  uint8 = 1 << iota // cancelled; the driver collects the slot
 	rfHedge                   // this slot is the hedge copy
 	rfLeg                     // fan-out leg: joins its parent, never completes
 )
@@ -78,7 +78,7 @@ type ereq struct {
 	// cleared when they fire and cancelled when the slot is freed.
 	hTimeout TimerID
 	hHedge   TimerID
-	coins    uint16 // per-request coin draws (generic executor)
+	coins    uint16 // per-request coin draws, one bit per declared coin
 	stage    int8
 	tries    uint8
 	flags    uint8
@@ -172,10 +172,6 @@ type TailConfig struct {
 	// Graph selects the scenario; nil runs SocialGraph(cfg.Config),
 	// the Figure 22 social-network analog.
 	Graph *GraphSpec
-	// Legacy routes the retired hand-coded social-network dispatch
-	// instead of the spec executor (equivalence oracle; incompatible
-	// with Graph).
-	Legacy bool
 	// Scheduler selects the pending-event container. The zero value is
 	// SchedCalendar (calendar queue + timer lanes, the O(1) default);
 	// SchedHeap keeps the binary heap as the byte-identity oracle.
@@ -270,12 +266,10 @@ type engine struct {
 	m   *TailMetrics
 
 	g      *cgraph
-	legacy bool
 	netHop float64
 
-	sts     []estation
-	demands [6]float64 // legacy dispatch stage demands
-	latMul  float64
+	sts    []estation
+	latMul float64
 
 	endMs, warmupMs float64
 
@@ -306,8 +300,9 @@ type engine struct {
 }
 
 // RunTail simulates one tail-at-scale load point. It returns an error
-// for a degenerate configuration (zero horizon, a negative or NaN
-// policy value, open loop without a positive QPS, closed loop without
+// for a degenerate configuration (a horizon that is not finite and
+// positive, a negative or NaN warmup, drain, think time or policy
+// value, open loop without a finite positive QPS, closed loop without
 // users, RPU over a batchless graph) or an invalid graph spec, instead
 // of silently reporting an empty run as measured.
 func RunTail(cfg TailConfig) (*TailMetrics, error) {
@@ -322,8 +317,18 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
 	}
-	if cfg.Seconds <= 0 {
-		return nil, fmt.Errorf("queuesim: Seconds must be positive (got %v)", cfg.Seconds)
+	// A NaN or infinite horizon or rate never reaches the end of the
+	// arrival window: the run would allocate until it died.
+	if !(cfg.Seconds > 0) || math.IsInf(cfg.Seconds, 1) {
+		return nil, fmt.Errorf("queuesim: Seconds must be finite and positive (got %v)", cfg.Seconds)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"Warmup", cfg.Warmup}, {"Drain", cfg.Drain}, {"Arrivals.ThinkMs", cfg.Arrivals.ThinkMs}} {
+		if !(f.v >= 0) {
+			return nil, fmt.Errorf("queuesim: %s must be a non-negative number (got %v)", f.name, f.v)
+		}
 	}
 	if err := cfg.Policy.validate(); err != nil {
 		return nil, err
@@ -332,16 +337,11 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 		if cfg.Arrivals.Users <= 0 {
 			return nil, fmt.Errorf("queuesim: closed-loop arrivals need Users > 0 (got %d)", cfg.Arrivals.Users)
 		}
-	} else if cfg.QPS <= 0 {
-		return nil, fmt.Errorf("queuesim: open-loop arrivals need QPS > 0 (got %v)", cfg.QPS)
+	} else if !(cfg.QPS > 0) || math.IsInf(cfg.QPS, 1) {
+		return nil, fmt.Errorf("queuesim: open-loop arrivals need a finite QPS > 0 (got %v)", cfg.QPS)
 	}
 	spec := cfg.Graph
-	if cfg.Legacy {
-		if spec != nil {
-			return nil, fmt.Errorf("queuesim: Legacy runs the hand-coded social graph; Graph must be nil")
-		}
-		spec = SocialGraph(cfg.Config)
-	} else if spec == nil {
+	if spec == nil {
 		spec = SocialGraph(cfg.Config)
 	}
 	g, err := compileGraph(spec)
@@ -354,7 +354,7 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 
 	sim := NewSimSched(cfg.Seed, cfg.Scheduler)
 	sim.Mon = cfg.Monitor
-	e := &engine{cfg: cfg, pol: cfg.Policy, sim: sim, g: g, legacy: cfg.Legacy,
+	e := &engine{cfg: cfg, pol: cfg.Policy, sim: sim, g: g,
 		forming: -1, inflightTS: math.Inf(-1)}
 	e.endMs = cfg.Seconds * 1000
 	e.warmupMs = cfg.Warmup * 1000
@@ -390,8 +390,6 @@ func newTailEngine(cfg TailConfig) (*engine, error) {
 		}
 		e.initStation(int32(i), sd.name, servers, cfg.RPU && sd.batched)
 	}
-	e.demands = [6]float64{cfg.WebDemand, cfg.UserPhase1, cfg.McRouterDemand,
-		cfg.MemcachedDemand, cfg.StorageLatency, cfg.UserPhase2}
 
 	est := int(cfg.QPS * cfg.Seconds)
 	if e.arr.Process == ArrClosed {
@@ -492,21 +490,13 @@ func (e *engine) finalizeSchedObs() {
 func (e *engine) handle(kind uint8, a, b int32) {
 	switch kind {
 	case ekNet:
-		if e.legacy {
-			e.enterL(a, int8(b))
-		} else {
-			e.enterG(a, b)
-		}
+		e.enter(a, b)
 	case ekSvcDone:
 		e.onSvcDone(a, b)
 	case ekArrival:
 		e.onArrival(a)
 	case ekBatchNet:
-		if e.legacy {
-			e.onBatchNetL(a, b)
-		} else {
-			e.enterBatchG(a, b)
-		}
+		e.enterBatch(a, b)
 	case ekBatchDone:
 		e.onBatchDone(a, b)
 	case ekBatchTimer:
@@ -558,9 +548,11 @@ func (e *engine) free(idx int32) {
 		r.hHedge = 0
 	}
 	r.gen++
-	// Clear the outcome state alongside flags: a hedge armed against a
-	// try that was inline-rejected (and hence freed) reads this slot, so
-	// stale coins must mirror the cleared rfHit of the legacy dispatch.
+	// Clear the coins alongside the flags: a hedge armed against a try
+	// that was inline-rejected (and hence freed) still fires on this
+	// slot and copies its coins into a "ghost" hedge, which must draw
+	// its edges from cleared coins — the recorded outputs (the
+	// tail-policy digests, testdata/legacy_fingerprints.txt) depend on it.
 	r.flags = 0
 	r.coins = 0
 	r.twin = -1
@@ -586,9 +578,8 @@ func (e *engine) sampleInflight() {
 // --- request lifecycle ---
 
 // issue creates and launches a new logical request (user >= 0 ties it
-// to a closed-loop client). The legacy dispatch draws its single
-// cache coin into rfHit; the generic executor draws every declared
-// coin, in declaration order, into the coin bitmask.
+// to a closed-loop client), drawing every declared coin, in
+// declaration order, into the coin bitmask.
 func (e *engine) issue(user int32) {
 	idx := e.alloc()
 	r := &e.reqs[idx]
@@ -601,15 +592,9 @@ func (e *engine) issue(user int32) {
 	r.tries = 0
 	r.flags = 0
 	r.coins = 0
-	if e.legacy {
-		if e.sim.Rng.Float64() < e.cfg.HitRate {
-			r.flags = rfHit
-		}
-	} else {
-		for i, p := range e.g.coins {
-			if e.sim.Rng.Float64() < p {
-				r.coins |= 1 << uint(i)
-			}
+	for i, p := range e.g.coins {
+		if e.sim.Rng.Float64() < p {
+			r.coins |= 1 << uint(i)
 		}
 	}
 	if now >= e.warmupMs && now <= e.endMs {
@@ -627,11 +612,7 @@ func (e *engine) launchTry(idx int32) {
 	if e.pol.TimeoutMs > 0 {
 		e.reqs[idx].hTimeout = e.sim.AtTimer(e.pol.TimeoutMs, ekTimeout, idx, int32(e.reqs[idx].gen))
 	}
-	if e.legacy {
-		e.enterL(idx, stWeb)
-	} else {
-		e.enterG(idx, e.g.entry)
-	}
+	e.enter(idx, e.g.entry)
 }
 
 func (e *engine) submitReq(st *estation, idx int32) {
@@ -652,14 +633,6 @@ func (e *engine) submitReq(st *estation, idx int32) {
 	st.probe.sample(e.sim.now, st.q.n, int(st.busy))
 }
 
-func (e *engine) serveReq(st *estation, idx int32) {
-	if e.legacy {
-		e.serveReqL(st, idx)
-	} else {
-		e.serveReqG(st, idx)
-	}
-}
-
 func (e *engine) onSvcDone(idx, stIdx int32) {
 	st := &e.sts[stIdx]
 	now := e.sim.now
@@ -673,11 +646,7 @@ func (e *engine) onSvcDone(idx, stIdx int32) {
 		e.free(idx)
 		return
 	}
-	if e.legacy {
-		e.advanceL(idx)
-	} else {
-		e.advanceG(idx)
-	}
+	e.advance(idx)
 }
 
 // dispatchNext pulls queued work onto freed servers, collecting dead
@@ -778,7 +747,7 @@ func (e *engine) abandonTry(idx int32, isDriver bool) {
 		c.arrive = r.arrive
 		c.user = r.user
 		c.tries = r.tries + 1
-		c.flags = r.flags & (rfHit | rfHedge)
+		c.flags = r.flags & rfHedge
 		c.coins = r.coins
 		c.twin = -1
 		c.parent = -1
@@ -860,7 +829,7 @@ func (e *engine) onHedge(idx, gen int32) {
 	c.arrive = r.arrive
 	c.user = r.user
 	c.tries = 0
-	c.flags = (r.flags & rfHit) | rfHedge
+	c.flags = rfHedge
 	c.coins = r.coins
 	c.twin = idx
 	c.parent = -1
@@ -907,7 +876,7 @@ func (e *engine) freeBatch(idx int32) {
 
 // joinBatch adds a formation-point request to the forming batch,
 // arming the formation timer when the batch is born — per batch, from
-// its first request, exactly the semantics the legacy batcher's
+// its first request, exactly the semantics the closure batcher's
 // generation counter enforces.
 func (e *engine) joinBatch(idx int32) {
 	if e.forming < 0 {
@@ -952,14 +921,10 @@ func (e *engine) launchBatch(bi int32) {
 	b.forming = false
 	e.m.Batches++
 	e.m.AvgBatchFill += float64(len(b.members))
-	if e.legacy {
-		e.bhop(bi, bsUser1)
-		return
-	}
 	if e.g.bentryHop {
 		e.wireHop(ekBatchNet, bi, e.g.bentry)
 	} else {
-		e.enterBatchG(bi, e.g.bentry)
+		e.enterBatch(bi, e.g.bentry)
 	}
 }
 
@@ -974,14 +939,6 @@ func (e *engine) submitBatch(st *estation, bi int32) {
 	st.probe.sample(e.sim.now, st.q.n, int(st.busy))
 }
 
-func (e *engine) serveBatch(st *estation, bi int32) {
-	if e.legacy {
-		e.serveBatchL(st, bi)
-	} else {
-		e.serveBatchG(st, bi)
-	}
-}
-
 func (e *engine) onBatchDone(bi, stIdx int32) {
 	st := &e.sts[stIdx]
 	now := e.sim.now
@@ -991,11 +948,7 @@ func (e *engine) onBatchDone(bi, stIdx int32) {
 	st.probe.observe(now, now-b.enq)
 	st.probe.sample(now, st.q.n, int(st.busy))
 	e.dispatchNext(st)
-	if e.legacy {
-		e.onBatchDoneL(bi)
-	} else {
-		e.onBatchDoneG(bi)
-	}
+	e.routeBatch(bi)
 }
 
 func (e *engine) completeBatch(bi int32) {

@@ -3,16 +3,16 @@
 // request path supports coin-conditioned edges and sync/async fan-out
 // legs; the batch path supports fan-out and per-member hit/miss
 // divergence. Stage payloads in events are compiled stage indices (or
-// the cgDone/cgJoin sentinels), which never affect heap order, so a
-// spec that mirrors the legacy dispatch reproduces its event sequence
-// exactly.
+// the cgDone/cgJoin sentinels), which never affect heap order, so
+// SocialGraph reproduces the event sequence of the retired hand-coded
+// dispatch exactly (testdata/legacy_fingerprints.txt).
 package queuesim
 
 // --- request path ---
 
-// enterG lands a request or fan-out leg on a compiled stage, resolves
+// enter lands a request or fan-out leg on a compiled stage, resolves
 // it at cgDone, or joins a leg at cgJoin.
-func (e *engine) enterG(idx, stage int32) {
+func (e *engine) enter(idx, stage int32) {
 	r := &e.reqs[idx]
 	if r.flags&rfLeg != 0 {
 		if stage == cgJoin {
@@ -45,8 +45,8 @@ func (e *engine) enterG(idx, stage int32) {
 	e.submitReq(&e.sts[e.g.stages[stage].station], idx)
 }
 
-// serveReqG draws the service demand from the compiled stage.
-func (e *engine) serveReqG(st *estation, idx int32) {
+// serveReq draws the service demand from the compiled stage.
+func (e *engine) serveReq(st *estation, idx int32) {
 	s := &e.g.stages[e.reqs[idx].stage]
 	d := s.demand
 	if !s.fixed {
@@ -62,13 +62,13 @@ func (e *engine) followEdge(idx int32, ed *cedge) {
 		e.wireHop(ekNet, idx, ed.to)
 		return
 	}
-	e.enterG(idx, ed.to)
+	e.enter(idx, ed.to)
 }
 
-// advanceG moves a request past its just-completed stage: into the
+// advance moves a request past its just-completed stage: into the
 // forming batch at the formation point (RPU), into its fan-out legs,
 // or along the first matching next edge.
-func (e *engine) advanceG(idx int32) {
+func (e *engine) advance(idx int32) {
 	r := &e.reqs[idx]
 	s := &e.g.stages[r.stage]
 	if r.flags&rfLeg == 0 {
@@ -77,18 +77,18 @@ func (e *engine) advanceG(idx int32) {
 			return
 		}
 		if len(s.fanout) > 0 {
-			e.fanoutG(idx, s)
+			e.fanout(idx, s)
 			return
 		}
 	}
 	e.followEdge(idx, pickEdge(s.next, r.coins))
 }
 
-// fanoutG spawns one leg per matching fan-out edge. The join count is
+// fanout spawns one leg per matching fan-out edge. The join count is
 // set before any leg launches so a leg rejected synchronously (queue
 // cap) cannot race it; if a rejected leg abandons and frees the parent
 // mid-loop the generation check below stops the walk.
-func (e *engine) fanoutG(idx int32, s *cstage) {
+func (e *engine) fanout(idx int32, s *cstage) {
 	r := &e.reqs[idx]
 	coins := r.coins
 	gen := r.gen
@@ -181,9 +181,9 @@ func (e *engine) rejectLeg(li int32) {
 
 // --- batch path ---
 
-// enterBatchG lands a batch (or batch fan-out leg) on a compiled
+// enterBatch lands a batch (or batch fan-out leg) on a compiled
 // batch stage, completes it at cgDone, or joins a leg at cgJoin.
-func (e *engine) enterBatchG(bi, stage int32) {
+func (e *engine) enterBatch(bi, stage int32) {
 	if stage == cgDone {
 		e.completeBatch(bi)
 		return
@@ -203,15 +203,13 @@ func (e *engine) followBEdge(bi int32, ed *cedge) {
 		e.wireHop(ekBatchNet, bi, ed.to)
 		return
 	}
-	e.enterBatchG(bi, ed.to)
+	e.enterBatch(bi, ed.to)
 }
 
-// serveBatchG draws the batch service demand: fixed or jittered
+// serveBatch draws the batch service demand: fixed or jittered
 // demand, plus any on-core hold (the reconvergence wait of an unsplit
-// batch). hold + Jitter(demand)·latMul reproduces the legacy
-// bsUser2Hold expression bit for bit when hold is zero or demand
-// matches.
-func (e *engine) serveBatchG(st *estation, bi int32) {
+// batch), computed as hold + Jitter(demand)·latMul.
+func (e *engine) serveBatch(st *estation, bi int32) {
 	bs := &e.g.bstages[e.batches[bi].stage]
 	d := bs.demand
 	if !bs.fixed {
@@ -221,27 +219,27 @@ func (e *engine) serveBatchG(st *estation, bi int32) {
 	e.sim.AtEvent(d, ekBatchDone, bi, st.idx)
 }
 
-// onBatchDoneG routes a batch past its just-completed stage: into a
+// routeBatch routes a batch past its just-completed stage: into a
 // divergence, its fan-out legs, or along its next edge.
-func (e *engine) onBatchDoneG(bi int32) {
+func (e *engine) routeBatch(bi int32) {
 	b := &e.batches[bi]
 	bs := &e.g.bstages[b.stage]
 	if bs.div != nil {
-		e.divergeG(bi, bs.div)
+		e.diverge(bi, bs.div)
 		return
 	}
 	if len(bs.fanout) > 0 && b.parent < 0 {
-		e.bfanoutG(bi, bs)
+		e.bfanout(bi, bs)
 		return
 	}
 	e.followBEdge(bi, &bs.next[0])
 }
 
-// bfanoutG spawns one empty sub-batch per fan-out edge; sync legs
+// bfanout spawns one empty sub-batch per fan-out edge; sync legs
 // occupy their stations batch-wide and join back before the parent
 // batch continues. Unlike request legs there is no rejection hazard:
 // submitBatch has no queue cap, so the join count cannot race.
-func (e *engine) bfanoutG(bi int32, bs *cbstage) {
+func (e *engine) bfanout(bi int32, bs *cbstage) {
 	sync := int32(0)
 	for i := range bs.fanout {
 		if !bs.fanout[i].async {
@@ -279,11 +277,11 @@ func (e *engine) batchLegEnd(li int32) {
 	e.followBEdge(pi, &e.g.bstages[p.stage].next[0])
 }
 
-// divergeG routes a batch after its per-member coin divergence:
+// diverge routes a batch after its per-member coin divergence:
 // collect cancelled members, then split (§III-B5), hold the whole
 // batch at the reconvergence point, or proceed along the hit edge.
 // This is divergeL generalised to any coin and any three edges.
-func (e *engine) divergeG(bi int32, dv *cbdiv) {
+func (e *engine) diverge(bi int32, dv *cbdiv) {
 	b := &e.batches[bi]
 	bit := uint16(1) << dv.coin
 	live := b.members[:0]

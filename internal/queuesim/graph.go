@@ -4,10 +4,11 @@
 // fan-out edges, an optional RPU batch path with a formation point and
 // hit/miss divergence — and the generic executor in exec.go walks the
 // compiled form instead of a hand-coded dispatch switch. The social
-// and compose-post graphs that used to be Go code are now specs
-// (byte-identical to the retired dispatch, see graph_test.go), and new
-// DeathStarBench-style scenarios (hotel-reservation, media-service,
-// IoT/edge) are just more specs, loadable from JSON.
+// and compose-post graphs that used to be Go code are now specs (the
+// social spec byte-identical to the retired dispatch, see
+// graph_test.go), and new DeathStarBench-style scenarios
+// (hotel-reservation, media-service, IoT/edge) are just more specs,
+// loadable from JSON.
 package queuesim
 
 import (
@@ -729,9 +730,10 @@ func (c *cgraph) preFormStations() []int32 {
 
 // SocialGraph is the declarative form of the Figure 22 User-path
 // social-network scenario. It compiles to the exact event and RNG
-// sequence of the retired hand-coded dispatch (legacy.go keeps that
-// dispatch for the equivalence tests), so spec-driven runs are
-// byte-identical to the pre-spec engine at any seed.
+// sequence of the retired hand-coded dispatch, so spec-driven runs are
+// byte-identical to the pre-spec engine at any seed
+// (testdata/legacy_fingerprints.txt holds that dispatch's recorded
+// metrics).
 func SocialGraph(cfg Config) *GraphSpec {
 	return &GraphSpec{
 		Name:  "social",
@@ -787,10 +789,40 @@ func SocialGraph(cfg Config) *GraphSpec {
 	}
 }
 
+// ComposePostConfig holds the per-tier demands and network hop of the
+// compose-post path (paper Figure 3), in milliseconds. Load, horizon,
+// batching, cores, drain, seed and monitor come from the run's Config.
+type ComposePostConfig struct {
+	WebDemand    float64
+	OrchDemand   float64 // post orchestrator (join point)
+	UniqueID     float64
+	URLShorten   float64
+	TextDemand   float64
+	UserTag      float64
+	StorageWrite float64
+	CacheWrite   float64
+	NetHop       float64
+}
+
+// DefaultComposePost returns the calibrated compose-post demands.
+func DefaultComposePost() ComposePostConfig {
+	return ComposePostConfig{
+		WebDemand:    0.25,
+		OrchDemand:   1.2,
+		UniqueID:     0.15,
+		URLShorten:   0.25,
+		TextDemand:   0.8,
+		UserTag:      0.4,
+		StorageWrite: 1.0,
+		CacheWrite:   0.05,
+		NetHop:       0.06,
+	}
+}
+
 // ComposePostGraph is the declarative form of the Figure 3
 // compose-post path: orchestrator fan-out to four nanoservices, join,
-// then persist through storage and the cache tier. Demands come from a
-// ComposePostConfig; the RPU path batches at the orchestrator.
+// then persist through storage and the cache tier. The RPU path
+// batches at the orchestrator.
 func ComposePostGraph(cfg ComposePostConfig) *GraphSpec {
 	legs := func(prefix string) ([]StageSpec, []EdgeSpec) {
 		var stages []StageSpec
@@ -841,7 +873,7 @@ func ComposePostGraph(cfg ComposePostConfig) *GraphSpec {
 		Batch: &BatchSpec{
 			// Logic-tier batching: the web tier acknowledges each request
 			// individually and the batch enters the orchestrator directly
-			// (no entry hop), matching RunComposePost.
+			// (no entry hop).
 			FormAfter: "web", Entry: "borch",
 			Stages: append([]BatchStageSpec{
 				{Name: "borch", Station: "post-orch", DemandMs: cfg.OrchDemand,

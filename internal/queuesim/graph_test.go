@@ -22,12 +22,35 @@ func tailFingerprint(m *TailMetrics) string {
 		m.Latency.Percentile(99), m.Latency.Percentile(99.9))
 }
 
-// TestSpecLegacyEquivalence is the tentpole acceptance test: the
-// generic executor walking the SocialGraph spec must be byte-identical
-// to the retired hand-coded dispatch — same events, same RNG stream,
-// same metrics to the last bit — across seeds, arrival processes,
-// policy settings and execution modes.
+// readLegacyFingerprints loads testdata/legacy_fingerprints.txt: the
+// tailFingerprint of every TestSpecLegacyEquivalence cell as run by the
+// retired hand-coded social-network dispatch, recorded before that
+// dispatch was deleted. Each line is the cell key (seed, arrivals,
+// policy, mode) followed by the fingerprint.
+func readLegacyFingerprints(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy_fingerprints.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		f := strings.SplitN(line, " ", 5)
+		if len(f) != 5 {
+			t.Fatalf("malformed fingerprint line %q", line)
+		}
+		out[strings.Join(f[:4], " ")] = f[4]
+	}
+	return out
+}
+
+// TestSpecLegacyEquivalence: the generic executor walking the
+// SocialGraph spec must be byte-identical to the retired hand-coded
+// dispatch — same events, same RNG stream, same metrics to the last
+// bit — across seeds, arrival processes, policy settings and execution
+// modes, as recorded in testdata/legacy_fingerprints.txt.
 func TestSpecLegacyEquivalence(t *testing.T) {
+	want := readLegacyFingerprints(t)
 	seeds := []int64{1, 7, 13, 42}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -46,31 +69,35 @@ func TestSpecLegacyEquivalence(t *testing.T) {
 		rpu, split bool
 	}{{"cpu", false, false}, {"rpu-nosplit", true, false}, {"rpu-split", true, true}}
 
+	checked := 0
 	for _, seed := range seeds {
-		for ai, arr := range arrivals {
+		for _, arr := range arrivals {
 			for pi, pol := range policies {
 				for _, mode := range modes {
-					mk := func(legacy bool) TailConfig {
-						c := DefaultConfig()
-						c.QPS = 12000
-						c.Seconds = 0.8
-						c.Warmup = 0.2
-						c.Drain = 5
-						c.Seed = seed
-						c.RPU = mode.rpu
-						c.Split = mode.split
-						return TailConfig{Config: c, Scale: 1, Arrivals: arr,
-							Policy: pol, Legacy: legacy}
+					key := fmt.Sprintf("seed=%d arrivals=%s policy=%d mode=%s", seed, arr.Process, pi, mode.label)
+					w, ok := want[key]
+					if !ok {
+						t.Fatalf("%s: no recorded fingerprint", key)
 					}
-					want := tailFingerprint(mustTail(t, mk(true)))
-					got := tailFingerprint(mustTail(t, mk(false)))
-					if got != want {
-						t.Fatalf("seed=%d arrivals=%d policy=%d mode=%s: spec diverged from hand-coded dispatch\nlegacy: %s\nspec:   %s",
-							seed, ai, pi, mode.label, want, got)
+					c := DefaultConfig()
+					c.QPS = 12000
+					c.Seconds = 0.8
+					c.Warmup = 0.2
+					c.Drain = 5
+					c.Seed = seed
+					c.RPU = mode.rpu
+					c.Split = mode.split
+					got := tailFingerprint(mustTail(t, TailConfig{Config: c, Scale: 1, Arrivals: arr, Policy: pol}))
+					if got != w {
+						t.Fatalf("%s: spec diverged from the recorded hand-coded dispatch\nlegacy: %s\nspec:   %s", key, w, got)
 					}
+					checked++
 				}
 			}
 		}
+	}
+	if !testing.Short() && checked != len(want) {
+		t.Fatalf("checked %d cells, but %d are recorded", checked, len(want))
 	}
 }
 
@@ -229,35 +256,35 @@ func TestBuiltinGraphsValidate(t *testing.T) {
 }
 
 // TestComposePostSpecMatchesClosure: the compose-post spec tracks the
-// closure-based RunComposePost within bands (different RNG draw
-// ordering, so no byte identity — the closure draws service jitter at
-// submit time, the arena engine at serve time).
+// retired closure-based compose-post simulator within bands. The
+// closure numbers were recorded at this configuration before it was
+// deleted; here the two matched to the last bit, but in general they
+// draw the RNG in a different order (the closure drew service jitter at
+// submit time, the arena engine at serve time), so only bands hold.
 func TestComposePostSpecMatchesClosure(t *testing.T) {
-	for _, rpu := range []bool{false, true} {
-		ccfg := DefaultComposePost()
-		ccfg.QPS = 3000
-		ccfg.Seconds = 2
-		ccfg.Warmup = 0.5
-		ccfg.Drain = 5
-		ccfg.RPU = rpu
-		legacy := RunComposePost(ccfg)
-
+	for _, tc := range []struct {
+		rpu              bool
+		closureDone      float64 // completions per measured second
+		closureP99Millis float64
+	}{
+		{false, 2998, 3.824233825920837},
+		{true, 3086, 5.236275758574821},
+	} {
 		c := DefaultConfig()
-		c.QPS = ccfg.QPS
-		c.Seconds = ccfg.Seconds
-		c.Warmup = ccfg.Warmup
-		c.Drain = ccfg.Drain
-		c.Seed = ccfg.Seed
-		c.RPU = rpu
+		c.QPS = 3000
+		c.Seconds = 2
+		c.Warmup = 0.5
+		c.Drain = 5
+		c.RPU = tc.rpu
 		m := mustTail(t, TailConfig{Config: c, Scale: 1, Graph: ComposePostGraph(DefaultComposePost())})
 
-		lt, tt := legacy.Throughput(legacy.Measured), m.Throughput()
+		lt, tt := tc.closureDone, m.Throughput()
 		if tt < 0.9*lt || tt > 1.1*lt {
-			t.Fatalf("rpu=%v: throughput diverged: closure %.0f/s spec %.0f/s", rpu, lt, tt)
+			t.Fatalf("rpu=%v: throughput diverged: closure %.0f/s spec %.0f/s", tc.rpu, lt, tt)
 		}
-		lp, tp := legacy.Latency.Percentile(99), m.Latency.Percentile(99)
+		lp, tp := tc.closureP99Millis, m.Latency.Percentile(99)
 		if tp < 0.7*lp || tp > 1.4*lp {
-			t.Fatalf("rpu=%v: p99 diverged: closure %.2f ms spec %.2f ms", rpu, lp, tp)
+			t.Fatalf("rpu=%v: p99 diverged: closure %.2f ms spec %.2f ms", tc.rpu, lp, tp)
 		}
 	}
 }

@@ -51,7 +51,7 @@ type Monitor struct {
 // stationProbe is one station's monitoring state. All methods are
 // no-ops on a nil receiver, keeping the unmonitored path free of
 // allocations and observable work. The probe holds no reference to the
-// station — callers pass the instantaneous state in — so the legacy
+// station — callers pass the instantaneous state in — so the closure
 // Station and the tail engine's arena-based stations share it.
 type stationProbe struct {
 	mon     *Monitor

@@ -17,11 +17,11 @@ func fingerprint(m *Metrics) string {
 		m.Latency.Mean(), m.UserUtil, m.Batches, m.AvgBatchFill, m.SplitBatches)
 }
 
-// TestSeededDeterminism runs the social-network and compose-post sims
-// twice per mode with the same seed and asserts identical stats: the
-// event heap breaks timestamp ties by submission sequence and dispatch
-// closes over per-iteration work items, so a seed fully determines the
-// run.
+// TestSeededDeterminism runs the closure social-network sim and the
+// tail engine's compose-post graph twice per mode with the same seed
+// and asserts identical stats: the schedulers break timestamp ties by
+// submission sequence and dispatch closes over per-iteration work
+// items, so a seed fully determines the run.
 func TestSeededDeterminism(t *testing.T) {
 	social := func() string {
 		var out string
@@ -38,12 +38,9 @@ func TestSeededDeterminism(t *testing.T) {
 	compose := func() string {
 		var out string
 		for _, rpu := range []bool{false, true} {
-			cfg := DefaultComposePost()
-			cfg.QPS = 5000
-			cfg.Seconds = 1.5
+			cfg := composePostTail(5000, 1.5, rpu)
 			cfg.Seed = 7
-			cfg.RPU = rpu
-			out += fingerprint(RunComposePost(cfg)) + "\n"
+			out += tailFingerprint(mustTail(t, cfg)) + "\n"
 		}
 		return out
 	}

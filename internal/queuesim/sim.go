@@ -4,10 +4,12 @@
 // social-network path WebServer → User → McRouter → Memcached →
 // Storage, with multi-server FIFO stations, network hops, RPU batch
 // formation, reconvergence waiting and the §III-B5 batch-splitting
-// technique. Beyond the hand-coded Figure 22 graphs, the tail-at-scale
-// engine (engine.go) runs the same scenario at data-center populations
-// (10⁶+ in-flight requests) with burst/diurnal/closed-loop arrivals and
-// timeout/retry/hedge policies.
+// technique. Beyond the closure-coded Figure 22 graph (social.go), the
+// tail-at-scale engine (engine.go) runs declarative service graphs
+// (graph.go) — the same scenario, the Figure 3 compose-post path and
+// three more — at data-center populations (10⁶+ in-flight requests)
+// with burst/diurnal/closed-loop arrivals and timeout/retry/hedge
+// policies.
 package queuesim
 
 import (
@@ -19,12 +21,12 @@ import (
 // event is one scheduled occurrence, stored by value and ordered by
 // (at, seq) so same-time events dispatch in FIFO order. The loop is
 // non-boxing: nothing passes through interface{} on push or pop. kind
-// evFunc carries a closure — the path the hand-coded graphs use; the
-// reserved internal kinds route Station completions and batcher timers
-// inside the Sim; any other kind goes to the Handle hook with the two
-// int32 payload words, which is the allocation-free path the tail
-// engine rides (a typed event costs zero heap allocations to schedule
-// or dispatch).
+// evFunc carries a closure — the path the Figure 22 closure graph
+// uses; the reserved internal kinds route Station completions and
+// batcher timers inside the Sim; any other kind goes to the Handle hook
+// with the two int32 payload words, which is the allocation-free path
+// the tail engine rides (a typed event costs zero heap allocations to
+// schedule or dispatch).
 type event struct {
 	at   float64
 	seq  uint64
@@ -53,7 +55,7 @@ const (
 	// deschedules.
 	SchedCalendar Scheduler = iota
 	// SchedHeap is the binary index-min heap — the byte-identity
-	// oracle, and the container the legacy closure API (NewSim) keeps.
+	// oracle, and the container the closure API (NewSim) keeps.
 	// Cancelled timers stay queued and dispatch as stale no-ops.
 	SchedHeap
 )

@@ -233,8 +233,6 @@ type (
 	MultiProcessResult = core.MultiProcessResult
 	// MultiBatchResult is the §III-A batch-interleaving study.
 	MultiBatchResult = core.MultiBatchResult
-	// ComposePostConfig parameterises the Figure 3 compose-post path.
-	ComposePostConfig = queuesim.ComposePostConfig
 	// ResultJSON is the machine-readable result record.
 	ResultJSON = core.ResultJSON
 )
@@ -249,14 +247,6 @@ func MultiProcessStudy(batchSize int, seed int64) (*MultiProcessResult, error) {
 // RPU core (the paper's future-work §III-A scheduler).
 func MultiBatchStudy(svc *Service, reqs []Request, opts Options) (*MultiBatchResult, error) {
 	return core.MultiBatchStudy(svc, reqs, opts)
-}
-
-// DefaultComposePost returns the Figure 3 compose-post scenario.
-func DefaultComposePost() ComposePostConfig { return queuesim.DefaultComposePost() }
-
-// RunComposePost simulates the compose-post fan-out/join path.
-func RunComposePost(cfg ComposePostConfig) *SystemMetrics {
-	return queuesim.RunComposePost(cfg)
 }
 
 // WriteResultsJSON emits a chip study as JSON records.
